@@ -8,13 +8,12 @@ from .errors import SourceError
 from .lowering import lower
 from .metrics import compare, halstead_nsra, halstead_ql
 from .parser import parse_query, parse_text
-from .qlgen import RenderOptions, normalize_ql, render
+from .qlgen import normalize_ql, render
 from .registry import Registry, builtin_crypto_profile, load_profile, lookup_attribute
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RenderOptions",
     "Registry",
     "SourceError",
     "builtin_crypto_profile",
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-def compile_text(text: str, registry: Registry | None = None, options: RenderOptions | None = None) -> str:
+def compile_text(text: str, registry: Registry | None = None, *, line_width: float = 100) -> str:
     """One-call pipeline: controlled-English text in, CodeQL text out."""
     reg = registry or builtin_crypto_profile()
-    return render(lower(parse_text(text), reg), options or RenderOptions())
+    return render(lower(parse_text(text), reg), line_width=line_width)

@@ -17,7 +17,7 @@ from .errors import SourceError, format_diagnostic
 from .lowering import lower
 from .metrics import compare, format_row, halstead_nsra, halstead_ql
 from .parser import parse_text
-from .qlgen import RenderOptions, dump_ir, normalize_ql, render
+from .qlgen import dump_ir, normalize_ql, render
 from .registry import Registry, builtin_crypto_profile, load_profile
 
 PROFILE_ENV = "NSRA_PROFILE"
@@ -66,7 +66,7 @@ def _compile_file(path: str, registry: Registry, emit: str, header: str | None) 
         raise _Diagnostic(format_diagnostic(path, text, err)) from err
     if emit == "ir":
         return dump_ir(ir)
-    out = render(ir, RenderOptions())
+    out = render(ir)
     if header:
         out = header.rstrip("\n") + "\n" + out
     return out
@@ -120,11 +120,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         registry = _load_registry(args.profile)
         text = Path(args.input).read_text(encoding="utf-8")
         ql_text = Path(args.ql).read_text(encoding="utf-8")
-        row = compare(halstead_nsra(text, registry), halstead_ql(ql_text))
-    except SourceError as err:
-        print(format_diagnostic(args.input, "", err), file=sys.stderr)
+    except (SourceError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ZeroDivisionError) as err:
+    path, source = args.input, text  # the file a SourceError points into
+    try:
+        nsra_counts = halstead_nsra(text, registry)
+        path, source = args.ql, ql_text
+        row = compare(nsra_counts, halstead_ql(ql_text))
+    except SourceError as err:
+        print(format_diagnostic(path, source, err), file=sys.stderr)
+        return 1
+    except ZeroDivisionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.json:

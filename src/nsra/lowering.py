@@ -44,11 +44,7 @@ def desugar_implication(p: BoolExpr, q: BoolExpr) -> BoolExpr:
 
 def apply_necessity(constraints: list[BoolExpr]) -> BoolExpr:
     """A query flags violations: some mandatory constraint must be false."""
-    if not constraints:
-        raise ValueError("no necessity constraints")
-    if len(constraints) == 1:
-        return Not(constraints[0])
-    return Or(tuple(Not(c) for c in constraints))
+    return disjoin([Not(c) for c in constraints])
 
 
 def expand_membership(lhs: QlExpr, items: list[Lit]) -> BoolExpr:
@@ -59,17 +55,14 @@ def expand_membership(lhs: QlExpr, items: list[Lit]) -> BoolExpr:
 
 
 def resolve_exp(
-    e: ast.Exp,
-    reg: Registry,
-    comparison_is_string: bool = False,
-    declared: frozenset[str] | None = None,
+    e: ast.Exp, reg: Registry, declared: frozenset[str], comparison_is_string: bool = False
 ) -> QlExpr:
     """Resolve an expression to a value chain.
 
-    The innermost identifier becomes a variable reference, each prefix layer
-    appends its rule's calls (ordinals fill the slot zero-based), and an
-    object-valued result gains a trailing ``toString()`` when it is about to
-    be compared with a string.
+    The innermost identifier, which must be in ``declared``, becomes a
+    variable reference, each prefix layer appends its rule's calls (ordinals
+    fill the slot zero-based), and an object-valued result gains a trailing
+    ``toString()`` when it is about to be compared with a string.
     """
     resolved = _resolve_inner(e, reg, declared)
     if comparison_is_string and isinstance(e, ast.Prefixed):
@@ -79,11 +72,11 @@ def resolve_exp(
     return resolved
 
 
-def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str] | None) -> QlExpr:
+def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> QlExpr:
     if isinstance(e, ast.Literal):
         return Lit(e.value)
     if isinstance(e, ast.Ident):
-        if declared is not None and e.name not in declared:
+        if e.name not in declared:
             raise UndeclaredSubject(e.name)
         return Var(e.name)
     rule = lookup_attribute(e.attribute, reg)
@@ -185,7 +178,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
     if isinstance(stmt, ast.Necessity):
         raise ValueError("necessity statements cannot nest inside other statements")
     if isinstance(stmt, ast.InvocationPattern):
-        return lower_invocation(stmt.class_name, stmt.method_name, stmt.positive).cond
+        return lower_invocation(stmt.class_name, stmt.method_name, stmt.positive)
     if isinstance(stmt, ast.OrderingPattern):
         for name in (stmt.before, stmt.after):
             if name not in declared:
@@ -204,16 +197,16 @@ def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> Bo
     aliases_apply = _outermost_attribute(stmt.lhs) == "type"
     if isinstance(stmt.rhs, ast.LiteralList):
         is_string = all(isinstance(i.value, str) for i in stmt.rhs.items)
-        lhs = resolve_exp(stmt.lhs, reg, is_string, declared)
+        lhs = resolve_exp(stmt.lhs, reg, declared, is_string)
         items = [Lit(_aliased(i.value, reg, aliases_apply)) for i in stmt.rhs.items]
         cond = expand_membership(lhs, items)
     else:
         is_string = isinstance(stmt.rhs, ast.Literal) and isinstance(stmt.rhs.value, str)
-        lhs = resolve_exp(stmt.lhs, reg, is_string, declared)
+        lhs = resolve_exp(stmt.lhs, reg, declared, is_string)
         if isinstance(stmt.rhs, ast.Literal):
             rhs: QlExpr = Lit(_aliased(stmt.rhs.value, reg, aliases_apply))
         else:
-            rhs = resolve_exp(stmt.rhs, reg, False, declared)
+            rhs = resolve_exp(stmt.rhs, reg, declared)
         cond = Eq(lhs, rhs)
     return Not(cond) if stmt.negated else cond
 

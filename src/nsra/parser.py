@@ -8,6 +8,8 @@ queries group.  Necessity statements are admitted only at sentence level.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import EmptyList, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import Token, TokenKind, normalize, ordinal_value, tokenize
 from .syntax import (
@@ -205,64 +207,60 @@ def _ordering(cur: _Cursor) -> Statement:
 def _signature(cur: _Cursor) -> Statement:
     cur.expect_word("signature")
     cur.expect_word("of")
-    method = cur.expect_kind(TokenKind.IDENT, "method name").text
-    cur.expect_word("is")
-    positive = True
-    if cur.at_word("not"):
-        cur.take()
-        positive = False
-    items = _literal_list(cur)
-    return SignaturePattern(method, tuple(_as_type_name(i, cur) for i in items), positive)
+    return _signature_rest(cur, cur.expect_kind(TokenKind.IDENT, "method name").text)
 
 
 def _elliptical_signature(cur: _Cursor, previous: Statement | None) -> Statement:
     """``... and is not ["int", "Key"]`` re-uses the prior signature subject."""
     if not isinstance(previous, SignaturePattern):
         raise cur.error("a statement subject")
+    return _signature_rest(cur, previous.method_name)
+
+
+def _signature_rest(cur: _Cursor, method: str) -> Statement:
     cur.expect_word("is")
     positive = True
     if cur.at_word("not"):
         cur.take()
         positive = False
-    items = _literal_list(cur)
-    return SignaturePattern(
-        previous.method_name, tuple(_as_type_name(i, cur) for i in items), positive
-    )
+    items = _literal_list(cur, _type_name)
+    return SignaturePattern(method, tuple(i.value for i in items), positive)
 
 
-def _as_type_name(lit: Literal, cur: _Cursor) -> str:
+def _type_name(cur: _Cursor) -> Literal:
+    tok = cur.peek()
+    lit = _literal(cur)
     if not isinstance(lit.value, str):
-        raise QuerySyntaxError("signature lists hold type names as strings", cur._end_span())
-    return lit.value
+        raise QuerySyntaxError("signature lists hold type names as strings", tok.span)
+    return lit
 
 
 def _basic(cur: _Cursor) -> Statement:
+    first = cur.peek()
     lhs = _exp(cur)
     cur.expect_word("is")
-    negated = False
-    if cur.at_word("not"):
-        cur.take()
-        negated = True
+    negation = cur.take() if cur.at_word("not") else None
     if cur.at_word("in"):
         cur.take()
         items = _literal_list(cur)
-        return Basic(_require_non_literal(lhs, cur), LiteralList(items), negated)
+        return Basic(_require_non_literal(lhs, first), LiteralList(items), negation is not None)
     noun = _type_noun(cur)
     if noun is not None:
-        if negated:
-            raise QuerySyntaxError("type assumptions cannot be negated", cur._end_span())
-        return Basic(_require_non_literal(lhs, cur), TypeAssumption(noun))
+        if negation is not None:
+            raise QuerySyntaxError("type assumptions cannot be negated", negation.span)
+        return Basic(_require_non_literal(lhs, first), TypeAssumption(noun))
     rhs = _exp(cur)
     # Symmetric equality: "RSA" is the algorithm of .. stores the expression
     # on the left and the literal on the right.
     if isinstance(lhs, Literal) and not isinstance(rhs, Literal):
         lhs, rhs = rhs, lhs
-    return Basic(lhs, rhs, negated)
+    return Basic(lhs, rhs, negation is not None)
 
 
-def _require_non_literal(lhs: Exp, cur: _Cursor) -> Exp:
+def _require_non_literal(lhs: Exp, first: Token) -> Exp:
+    """``first`` is the subject's first token, where the error points."""
     if isinstance(lhs, Literal):
-        raise QuerySyntaxError("a literal cannot be the subject here", cur._end_span())
+        raise QuerySyntaxError("a literal cannot be the subject here", first.span)
     return lhs
 
 
@@ -280,21 +278,6 @@ def _type_noun(cur: _Cursor) -> str | None:
     return None
 
 
-def _literal_list(cur: _Cursor) -> tuple[Literal, ...]:
-    open_tok = cur.expect_kind(TokenKind.LIST_OPEN, "'['")
-    items: list[Literal] = []
-    if cur.at_kind(TokenKind.LIST_CLOSE):
-        close = cur.take()
-        raise EmptyList("empty list", Span(open_tok.span.start, close.span.end))
-    while True:
-        items.append(_literal(cur))
-        if cur.at_kind(TokenKind.COMMA):
-            cur.take()
-            continue
-        cur.expect_kind(TokenKind.LIST_CLOSE, "']'")
-        return tuple(items)
-
-
 def _literal(cur: _Cursor) -> Literal:
     tok = cur.peek()
     if tok is None:
@@ -306,6 +289,21 @@ def _literal(cur: _Cursor) -> Literal:
         cur.take()
         return Literal(int(tok.text))
     raise cur.error("a string or integer literal")
+
+
+def _literal_list(cur: _Cursor, item: Callable[[_Cursor], Literal] = _literal) -> tuple[Literal, ...]:
+    open_tok = cur.expect_kind(TokenKind.LIST_OPEN, "'['")
+    items: list[Literal] = []
+    if cur.at_kind(TokenKind.LIST_CLOSE):
+        close = cur.take()
+        raise EmptyList("empty list", Span(open_tok.span.start, close.span.end))
+    while True:
+        items.append(item(cur))
+        if cur.at_kind(TokenKind.COMMA):
+            cur.take()
+            continue
+        cur.expect_kind(TokenKind.LIST_CLOSE, "']'")
+        return tuple(items)
 
 
 def _exp(cur: _Cursor) -> Exp:

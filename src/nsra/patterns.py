@@ -1,48 +1,30 @@
 """Lowerings for the three statement patterns.
 
-Invocation introduces a MethodAccess declaration (or an existential when
-negated), ordering compares enclosing callables and end lines, and a
-signature constraint pins the argument count and each argument type.
+Invocation constrains a MethodAccess variable, which ``lowering`` declares
+(or binds it in an existential when negated), ordering compares enclosing
+callables and end lines, and a signature constraint pins the argument count
+and each argument type.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .ir import And, BoolExpr, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var
 
 METHOD_ACCESS = "MethodAccess"
 
 
-@dataclass(frozen=True)
-class PatternLowering:
-    cond: BoolExpr
-    new_decls: tuple[Decl, ...] = field(default_factory=tuple)
-    exists_bound: bool = False
-
-    def __post_init__(self) -> None:
-        if self.exists_bound and self.new_decls:
-            raise ValueError("an existentially bound pattern cannot add declarations")
-
-
-def _invocation_cond(class_name: str, method_name: str) -> BoolExpr:
+def lower_invocation(class_name: str, method_name: str, positive: bool) -> BoolExpr:
+    """``An object of C invokes m`` / ``... does not invoke m``."""
+    if not class_name or not method_name:
+        raise ValueError("invocation pattern needs a class name and a method name")
     subject = Var(method_name)
-    return And(
+    cond = And(
         (
             Eq(Chain(subject, ("getMethod()", "getName()")), Lit(method_name)),
             Eq(Chain(subject, ("getReceiverType()", "getName()")), Lit(class_name)),
         )
     )
-
-
-def lower_invocation(class_name: str, method_name: str, positive: bool) -> PatternLowering:
-    """``An object of C invokes m`` / ``... does not invoke m``."""
-    if not class_name or not method_name:
-        raise ValueError("invocation pattern needs a class name and a method name")
-    cond = _invocation_cond(class_name, method_name)
-    if positive:
-        return PatternLowering(cond, (Decl(method_name, METHOD_ACCESS),))
-    return PatternLowering(Not(Exists(Decl(method_name, METHOD_ACCESS), cond)), (), True)
+    return cond if positive else Not(Exists(Decl(method_name, METHOD_ACCESS), cond))
 
 
 def lower_ordering(before: str, after: str) -> BoolExpr:

@@ -10,6 +10,7 @@ nothing is sorted.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -36,18 +37,7 @@ _KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", 
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
 
-
-@dataclass(frozen=True)
-class RenderOptions:
-    line_width: int = 100
-    indent: int = 2
-    keyword_case: str = "lower"
-
-    def __post_init__(self) -> None:
-        if self.line_width < 40:
-            raise ValueError("line_width must be at least 40")
-        if self.keyword_case != "lower":
-            raise ValueError("only lower-case keywords are supported")
+_INDENT = "  "  # continuation lines of a wrapped clause
 
 
 # --- rendering ---------------------------------------------------------------
@@ -92,33 +82,36 @@ def _bool_text(e: BoolExpr, parent_prec: int = 0) -> str:
     return text
 
 
-def _wrap(first: str, parts: list[str], sep: str, opts: RenderOptions) -> list[str]:
+def _wrap(first: str, parts: list[str], sep: str, line_width: float) -> list[str]:
     """Greedy line fill; the separator stays at the end of the broken line."""
     lines: list[str] = []
     current = first + parts[0]
     for part in parts[1:]:
         candidate = current + sep + part
-        if len(candidate) > opts.line_width and len(current) > len(first):
+        if len(candidate) > line_width and len(current) > len(first):
             lines.append(current + sep.rstrip())
-            current = " " * opts.indent + part
+            current = _INDENT + part
         else:
             current = candidate
     lines.append(current)
     return lines
 
 
-def render(ir: QueryIR, opts: RenderOptions | None = None) -> str:
+def render(ir: QueryIR, *, line_width: float = 100) -> str:
     """Deterministic CodeQL text for an IR: from / where / select clauses.
 
-    The from clause is omitted when there are no declarations and the select
+    A clause longer than ``line_width`` (at least 40; ``math.inf`` keeps each
+    clause on one line) breaks after a separator onto indented lines.  The
+    from clause is omitted when there are no declarations and the select
     clause falls back to the constant 1, keeping declaration-free queries
     well formed.
     """
-    opts = opts or RenderOptions()
+    if line_width < 40:
+        raise ValueError("line_width must be at least 40")
     lines: list[str] = []
     if ir.decls:
         decl_parts = [f"{d.ql_type} {d.var_name}" for d in ir.decls]
-        lines.extend(_wrap("from ", decl_parts, ", ", opts))
+        lines.extend(_wrap("from ", decl_parts, ", ", line_width))
     if not isinstance(ir.condition, TrueExpr):
         if isinstance(ir.condition, And):
             parts = [_bool_text(i, _PREC_AND) for i in ir.condition.items]
@@ -128,9 +121,9 @@ def render(ir: QueryIR, opts: RenderOptions | None = None) -> str:
             sep = " or "
         else:
             parts, sep = [_bool_text(ir.condition)], " "
-        lines.extend(_wrap("where ", parts, sep, opts))
+        lines.extend(_wrap("where ", parts, sep, line_width))
     select_parts = list(ir.selects) or ["1"]
-    lines.extend(_wrap("select ", select_parts, ", ", opts))
+    lines.extend(_wrap("select ", select_parts, ", ", line_width))
     return "\n".join(lines) + "\n"
 
 
@@ -412,13 +405,7 @@ def normalize_ql(text: str) -> str:
         ir = _QlReader(tokens).read_query()
     except QlLexError:
         return _respace(tokens)
-    lines: list[str] = []
-    if ir.decls:
-        lines.append("from " + ", ".join(f"{d.ql_type} {d.var_name}" for d in ir.decls))
-    if not isinstance(ir.condition, TrueExpr):
-        lines.append("where " + _bool_text(ir.condition))
-    lines.append("select " + (", ".join(ir.selects) or "1"))
-    return "\n".join(lines) + "\n"
+    return render(ir, line_width=math.inf)
 
 
 def _respace(tokens: list[QlToken]) -> str:

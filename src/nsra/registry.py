@@ -15,16 +15,20 @@ A profile is a line-oriented text file:
     method access = MethodAccess
 
 ``@ordinal`` marks the slot filled by an ordinal adjective (zero-based at
-render time).  ``#`` starts a comment.  User rules shadow built-in rules by
-attribute word.
+render time).  ``#`` starts a comment.  Attribute words are case-folded, as
+the parser reads them.  User rules shadow built-in rules by attribute word.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import BadTemplate, ConfigParseError, DuplicateAttribute, UnknownAttribute
+from .qlgen import escape_string
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +56,7 @@ class CallStep:
             elif isinstance(arg, int):
                 rendered.append(str(arg))
             else:
-                escaped = str(arg).replace("\\", "\\\\").replace('"', '\\"')
-                rendered.append(f'"{escaped}"')
+                rendered.append(f'"{escape_string(str(arg))}"')
         return f"{self.name}({', '.join(rendered)})"
 
 
@@ -80,9 +83,16 @@ class AttributeRule:
 
 @dataclass(frozen=True)
 class Registry:
-    rules: dict[str, AttributeRule] = field(default_factory=dict)
-    type_aliases: dict[str, str] = field(default_factory=dict)
-    ql_type_names: dict[str, str] = field(default_factory=dict)
+    """Attribute rules, type aliases and QL type names, held in read-only
+    maps so that one instance (the built-in profile) can be shared."""
+
+    rules: Mapping[str, AttributeRule] = field(default_factory=dict)
+    type_aliases: Mapping[str, str] = field(default_factory=dict)
+    ql_type_names: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("rules", "type_aliases", "ql_type_names"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def resolve_alias(self, simple_name: str) -> str:
         """Qualified name for a simple type name; unknown names pass through."""
@@ -121,9 +131,10 @@ method access = MethodAccess
 """
 
 
+@functools.cache
 def builtin_crypto_profile() -> Registry:
-    """The built-in Java-cryptography profile (parsed from profile syntax,
-    so the loader is exercised on every use)."""
+    """The built-in Java-cryptography profile, parsed from profile syntax
+    once per process and shared."""
     return load_profile(_BUILTIN_PROFILE, base=Registry())
 
 
@@ -160,6 +171,7 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
         elif section == "types":
             type_names[key.lower()] = value
         else:
+            key = key.lower()
             if key in seen_words:
                 raise DuplicateAttribute(key, line_no)
             seen_words.add(key)

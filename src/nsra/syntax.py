@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from .lexer import ORDINALS
+
 
 # --- expressions -----------------------------------------------------------
 
@@ -137,18 +139,7 @@ class QueryAst:
 
 # --- canonical printer -------------------------------------------------------
 
-_ORDINAL_WORDS = {
-    1: "first",
-    2: "second",
-    3: "third",
-    4: "fourth",
-    5: "fifth",
-    6: "sixth",
-    7: "seventh",
-    8: "eighth",
-    9: "ninth",
-    10: "tenth",
-}
+_ORDINAL_WORDS = {value: word for word, value in ORDINALS.items()}
 
 
 def exp_to_text(e: Exp) -> str:

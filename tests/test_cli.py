@@ -45,6 +45,22 @@ def test_compile_parse_error_diagnostics(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_metrics_diagnostic_points_into_the_query(workdir, capsys):
+    bad = write(workdir / "bad.nsra", 'An object of Cipher invokes init.\nThe name of init is "x.\n')
+    ref = str(GOLDEN / "example_invoke.ql")
+    assert run(["metrics", bad, "--ql", ref]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:2:21: error: ")
+    assert "unterminated" in err
+
+
+def test_metrics_diagnostic_points_into_the_ql_file(workdir, capsys):
+    src = str(GOLDEN / "example_invoke.nsra")
+    bad = write(workdir / "bad.ql", 'from MethodAccess init\nwhere init.getName() = "x\n')
+    assert run(["metrics", src, "--ql", bad]) == 1
+    assert capsys.readouterr().err.startswith(f"{bad}:2:24: error: ")
+
+
 def test_failed_compile_leaves_no_output(workdir):
     bad = write(workdir / "bad.nsra", "this is not a query")
     target = workdir / "bad.ql"

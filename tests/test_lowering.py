@@ -45,29 +45,29 @@ def lower_text(text: str, registry):
 
 def test_second_argument(registry):
     e = ast.Prefixed("argument", 2, ast.Ident("init"))
-    assert resolve_exp(e, registry) == Chain(Var("init"), ("getArgument(1)",))
+    assert resolve_exp(e, registry, frozenset({"init"})) == Chain(Var("init"), ("getArgument(1)",))
 
 
 def test_type_of_argument_string_comparison(registry):
     e = ast.Prefixed("type", None, ast.Prefixed("argument", 2, ast.Ident("init")))
-    resolved = resolve_exp(e, registry, comparison_is_string=True)
+    resolved = resolve_exp(e, registry, frozenset({"init"}), comparison_is_string=True)
     assert resolved == Chain(Var("init"), ("getArgument(1)", "getType()", "toString()"))
 
 
 def test_object_valued_without_string_comparison_keeps_chain(registry):
     e = ast.Prefixed("type", None, ast.Prefixed("argument", 2, ast.Ident("init")))
-    resolved = resolve_exp(e, registry, comparison_is_string=False)
+    resolved = resolve_exp(e, registry, frozenset({"init"}), comparison_is_string=False)
     assert resolved.steps[-1] == "getType()"
 
 
 def test_name_of_method(registry):
     e = ast.Prefixed("name", None, ast.Ident("method1"))
-    assert resolve_exp(e, registry) == Chain(Var("method1"), ("getName()",))
+    assert resolve_exp(e, registry, frozenset({"method1"})) == Chain(Var("method1"), ("getName()",))
 
 
 def test_string_valued_rule_gets_no_tostring(registry):
     e = ast.Prefixed("algorithm", None, ast.Prefixed("argument", 1, ast.Ident("g")))
-    resolved = resolve_exp(e, registry, comparison_is_string=True)
+    resolved = resolve_exp(e, registry, frozenset({"g"}), comparison_is_string=True)
     assert resolved.steps == (
         "getArgument(0)",
         "toString()",
@@ -78,17 +78,17 @@ def test_string_valued_rule_gets_no_tostring(registry):
 
 def test_unknown_attribute_propagates(registry):
     with pytest.raises(UnknownAttribute):
-        resolve_exp(ast.Prefixed("colour", None, ast.Ident("x")), registry)
+        resolve_exp(ast.Prefixed("colour", None, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_ordinal_on_slot_free_rule(registry):
     with pytest.raises(OrdinalNotAllowed):
-        resolve_exp(ast.Prefixed("name", 2, ast.Ident("x")), registry)
+        resolve_exp(ast.Prefixed("name", 2, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_missing_ordinal_on_slot_rule(registry):
     with pytest.raises(MissingOrdinal):
-        resolve_exp(ast.Prefixed("argument", None, ast.Ident("x")), registry)
+        resolve_exp(ast.Prefixed("argument", None, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_undeclared_subject_check(registry):

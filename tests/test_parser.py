@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nsra.errors import EmptyList, QuerySyntaxError, UnknownOrdinal
+from nsra.errors import EmptyList, QuerySyntaxError, UnknownOrdinal, line_column
 from nsra.parser import parse_text
 from nsra.syntax import (
     AndStmt,
@@ -221,6 +221,23 @@ def test_error_spans_inside_input():
         assert 0 <= err.span.start <= err.span.end <= len(text)
     else:  # pragma: no cover
         raise AssertionError("expected a syntax error")
+
+
+@pytest.mark.parametrize(
+    "text, message, line_col",
+    [
+        ("An object of C invokes m.\nsignature of m is [\"int\", 2].", "type names as strings", (2, 27)),
+        ('An object of C invokes m.\n"x" is in ["y"].', "a literal cannot be the subject", (2, 1)),
+        ('An object of C invokes m.\n"x" is a variable.', "a literal cannot be the subject", (2, 1)),
+        ("An object of C invokes m.\nx is not a variable.", "cannot be negated", (2, 6)),
+    ],
+    ids=["integer-type-name", "literal-list-subject", "literal-type-subject", "negated-type"],
+)
+def test_error_points_at_offending_token(text, message, line_col):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_text(text)
+    assert message in info.value.message
+    assert line_column(text, info.value.span.start) == line_col
 
 
 def test_statement_order_preserved():

@@ -3,52 +3,50 @@ from __future__ import annotations
 import pytest
 
 from nsra.ir import And, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var, free_variables
+from nsra.lowering import lower
+from nsra.parser import parse_text
 from nsra.patterns import lower_invocation, lower_ordering, lower_signature
 
 
-def test_positive_invocation():
-    lowering = lower_invocation("Cipher", "init", True)
-    assert lowering.new_decls == (Decl("init", "MethodAccess"),)
-    assert not lowering.exists_bound
-    assert lowering.cond == And(
+def test_positive_invocation(registry):
+    assert lower_invocation("Cipher", "init", True) == And(
         (
             Eq(Chain(Var("init"), ("getMethod()", "getName()")), Lit("init")),
             Eq(Chain(Var("init"), ("getReceiverType()", "getName()")), Lit("Cipher")),
         )
     )
+    ir = lower(parse_text("An object of Cipher invokes init."), registry)
+    assert ir.decls == (Decl("init", "MethodAccess"),)
 
 
-def test_negative_invocation():
-    lowering = lower_invocation("Cipher", "init", False)
-    assert lowering.new_decls == ()
-    assert lowering.exists_bound
-    assert isinstance(lowering.cond, Not)
-    exists = lowering.cond.inner
+def test_negative_invocation(registry):
+    cond = lower_invocation("Cipher", "init", False)
+    assert isinstance(cond, Not)
+    exists = cond.inner
     assert isinstance(exists, Exists)
     assert exists.decl == Decl("init", "MethodAccess")
+    ir = lower(parse_text("An object of Cipher does not invoke init."), registry)
+    assert ir.decls == ()
 
 
 def test_negative_invocation_no_free_variables():
-    lowering = lower_invocation("Cipher", "init", False)
-    assert free_variables(lowering.cond) == set()
+    assert free_variables(lower_invocation("Cipher", "init", False)) == set()
 
 
 def test_positive_invocation_getinstance():
-    lowering = lower_invocation("Cipher", "getInstance", True)
-    left = lowering.cond.items[0]
+    left = lower_invocation("Cipher", "getInstance", True).items[0]
     assert left == Eq(
         Chain(Var("getInstance"), ("getMethod()", "getName()")), Lit("getInstance")
     )
 
 
-def test_invocation_injective_on_inputs():
+def test_invocation_injective_on_inputs(registry):
     seen = set()
     pairs = [("Cipher", "init"), ("Cipher", "getInstance"), ("Mac", "init")]
     for class_name, method in pairs:
-        lowering = lower_invocation(class_name, method, True)
-        key = (lowering.new_decls, lowering.cond)
-        assert key not in seen
-        seen.add(key)
+        ir = lower(parse_text(f"An object of {class_name} invokes {method}."), registry)
+        assert ir not in seen
+        seen.add(ir)
 
 
 def test_invocation_requires_names():

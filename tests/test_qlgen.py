@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from nsra.ir import (
     simplify,
 )
 from nsra.qlgen import (
-    RenderOptions,
     lex_ql,
     normalize_ql,
     read_query_text,
@@ -93,13 +94,13 @@ def test_render_does_not_parenthesize_and_under_or():
 
 def test_render_line_width_enforced():
     with pytest.raises(ValueError):
-        RenderOptions(line_width=10)
+        render(INVOKE_IR, line_width=10)
 
 
 def test_render_wraps_long_conjunctions():
     cond = And(tuple(eq(f"var{i}", "x" * 10) for i in range(8)))
     ir = QueryIR((Decl("var0", "T"),), cond, ("var0",))
-    text = render(ir, RenderOptions(line_width=60))
+    text = render(ir, line_width=60)
     lines = text.splitlines()
     assert len(lines) > 3
     assert all(line.endswith("and") for line in lines[1:-2])
@@ -207,13 +208,13 @@ def _conditions() -> st.SearchStrategy[BoolExpr]:
     )
 
 
-@given(_conditions())
+@given(_conditions(), st.sampled_from([40, 100, math.inf]))
 @settings(max_examples=300, deadline=None)
-def test_reader_reconstructs_rendered_condition(cond):
+def test_reader_reconstructs_rendered_condition(cond, line_width):
     ir = QueryIR((Decl("init", "MethodAccess"),), simplify(cond), ("init",))
     if isinstance(ir.condition, type(TRUE)):
         return
-    text = render(ir)
+    text = render(ir, line_width=line_width)
     assert read_query_text(text) == ir
 
 

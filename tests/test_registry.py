@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from nsra import compile_text, halstead_nsra, registry as registry_module
 from nsra.errors import (
     BadTemplate,
     ConfigParseError,
@@ -107,8 +108,16 @@ def test_user_rule_shadows_builtin():
 
 
 def test_duplicate_attribute_in_one_file():
-    with pytest.raises(DuplicateAttribute):
-        load_profile("receiver = getReceiverType()\nreceiver = getOther()")
+    for first in ("receiver", "Receiver"):  # the check runs on the case-folded word
+        with pytest.raises(DuplicateAttribute):
+            load_profile(f"{first} = getReceiverType()\nreceiver = getOther()")
+
+
+def test_attribute_words_are_case_insensitive():
+    reg = load_profile("Receiver = getReceiverType()")
+    out = compile_text('An object of Cipher invokes init. The Receiver of init is "Cipher".', reg)
+    assert 'init.getReceiverType().toString() = "Cipher"' in out
+    assert out == compile_text('An object of Cipher invokes init. The receiver of init is "Cipher".', reg)
 
 
 def test_double_ordinal_slot_rejected():
@@ -191,3 +200,32 @@ def test_builtin_templates_appear_in_reference_outputs(builtin, golden_dir):
             continue
         index = 0 if rule.has_ordinal_slot else None
         assert ".".join(rule.render_steps(index)) in corpus, word
+
+
+def test_builtin_profile_is_read_only():
+    builtin = builtin_crypto_profile()
+    for maps in (builtin.rules, builtin.type_aliases, builtin.ql_type_names):
+        with pytest.raises(TypeError):
+            maps["receiver"] = None  # type: ignore[index]
+    before = (dict(builtin.rules), dict(builtin.type_aliases), dict(builtin.ql_type_names))
+    load_profile("receiver = getReceiverType()\nname = getOther()\n[aliases]\nKey = a.Key\n[types]\nfield = Field")
+    after = builtin_crypto_profile()
+    assert after is builtin
+    assert (dict(after.rules), dict(after.type_aliases), dict(after.ql_type_names)) == before
+
+
+def test_builtin_profile_parsed_once_per_process(monkeypatch):
+    parse = registry_module.load_profile
+    parsed: list[str] = []
+
+    def counting_load_profile(config_text, base=None):
+        parsed.append(config_text)
+        return parse(config_text, base)
+
+    monkeypatch.setattr(registry_module, "load_profile", counting_load_profile)
+    builtin_crypto_profile.cache_clear()
+    for _ in range(2):
+        compile_text("An object of Cipher invokes init.")
+        halstead_nsra("An object of Cipher invokes init.")
+        parse("receiver = getReceiverType()", base=None)
+    assert parsed == [registry_module._BUILTIN_PROFILE]
