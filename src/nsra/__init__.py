@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def compile_text(text: str, registry: Registry | None = None, *, line_width: float = 100) -> str:
+def compile_text(text: str, registry: Registry | None = None) -> str:
     """One-call pipeline: controlled-English text in, CodeQL text out."""
     reg = registry or builtin_crypto_profile()
-    return render(lower(parse_text(text), reg), line_width=line_width)
+    return render(lower(parse_text(text), reg))

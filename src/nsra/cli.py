@@ -123,14 +123,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except (SourceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    path, source = args.input, text  # the file a SourceError points into
     try:
         nsra_counts = halstead_nsra(text, registry)
-        path, source = args.ql, ql_text
-        row = compare(nsra_counts, halstead_ql(ql_text))
     except SourceError as err:
-        print(format_diagnostic(path, source, err), file=sys.stderr)
+        print(format_diagnostic(args.input, text, err), file=sys.stderr)
         return 1
+    try:
+        ql_counts = halstead_ql(ql_text)
+    except SourceError as err:
+        print(format_diagnostic(args.ql, ql_text, err), file=sys.stderr)
+        return 1
+    try:
+        row = compare(nsra_counts, ql_counts)
     except ZeroDivisionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

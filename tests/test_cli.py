@@ -140,6 +140,16 @@ def test_profile_flag(workdir, capsys):
     assert "init.getReceiverType()" in capsys.readouterr().out
 
 
+def test_profile_flag_capitalized_rule(workdir, capsys):
+    profile = write(workdir / "p.profile", "Receiver = getReceiverType()")
+    query = write(
+        workdir / "q.nsra",
+        'An object of Cipher invokes init. The Receiver of init is "Cipher".',
+    )
+    assert run(["compile", query, "--profile", profile]) == 0
+    assert 'init.getReceiverType().toString() = "Cipher"' in capsys.readouterr().out
+
+
 def test_profile_env_var(workdir, capsys, monkeypatch):
     profile = write(workdir / "p.profile", "receiver = getReceiverType()")
     query = write(
