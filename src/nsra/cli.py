@@ -156,8 +156,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except (SourceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    left = normalize_ql(compiled)
-    right = normalize_ql(golden)
+    try:
+        right = normalize_ql(golden)
+    except SourceError as err:
+        print(format_diagnostic(args.golden, golden, err), file=sys.stderr)
+        return 1
+    try:
+        # The compiled text is the header followed by render's output, which
+        # always reads, so an error here is in the header.
+        left = normalize_ql(compiled)
+    except SourceError as err:
+        print(f"error: --header: {err.message}", file=sys.stderr)
+        return 1
     if left == right:
         print(f"{args.input}: matches {args.golden}")
         return 0

@@ -131,16 +131,6 @@ def disjoin(items: list[BoolExpr]) -> BoolExpr:
     return Or(tuple(items))
 
 
-def _count_nots(e: BoolExpr) -> int:
-    if isinstance(e, Not):
-        return 1 + _count_nots(e.inner)
-    if isinstance(e, (And, Or)):
-        return sum(_count_nots(i) for i in e.items)
-    if isinstance(e, Exists):
-        return _count_nots(e.body)
-    return 0
-
-
 def _push_pays(group: And | Or) -> bool:
     """Whether negating ``group`` by De Morgan strictly drops the negation
     count, i.e. its negated children outweigh the plain ones."""

@@ -9,9 +9,10 @@ to a convention, so both are spelled out here):
   vocabulary: statement keywords, attribute words, and ordinal adjectives.
   Pure glue carries no weight: ``of``, articles, possessive markers, list
   brackets and commas, and sentence periods are not counted.
-* CodeQL text is counted on its token stream.  Operators are the clause
-  keywords, called method names, comparison signs, and punctuation; operands
-  are the remaining identifiers (variables and type names) and literals.
+* CodeQL text is counted on its token stream after the import lines;
+  comments are not tokens.  Operators are the clause keywords, called method
+  names, comparison signs, and punctuation; operands are the remaining
+  identifiers (variables and type names) and literals.
 
 Keywords and attribute words count case-insensitively, as the parser reads
 them; identifiers and literals are distinct case-sensitively.
@@ -23,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .lexer import TokenKind, normalize, tokenize
-from .qlgen import _KEYWORDS as _QL_KEYWORDS
-from .qlgen import lex_ql
+from .qlgen import QlReader
 from .registry import Registry, builtin_crypto_profile
 
 STROUD_SECONDS = 18  # mental discriminations per second in the time formula
@@ -130,12 +130,17 @@ def halstead_nsra(query_text: str, registry: Registry | None = None) -> Halstead
     return HalsteadCounts(n1, n2, big_n1, big_n2)
 
 
+_QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
+
+
 def halstead_ql(ql_text: str) -> HalsteadCounts:
     """Counts for CodeQL text (see module docstring for the convention)."""
-    tokens = lex_ql(ql_text)
+    reader = QlReader(ql_text)
+    tokens = reader.tokens
     operators: list[tuple[str, object]] = []
     operands: list[tuple[str, object]] = []
-    for i, tok in enumerate(tokens):
+    for i in range(reader.pos, len(tokens)):
+        tok = tokens[i]
         if tok.kind == "punct":
             operators.append(("op", tok.text))
         elif tok.kind == "string":

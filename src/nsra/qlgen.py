@@ -1,18 +1,21 @@
-"""CodeQL text generation and the canonical normalizer used by golden tests.
+"""CodeQL text generation, the QL reader, and the canonical normalizer used
+by golden tests.
 
 ``render`` turns a QueryIR into query text with minimal parenthesization
 (plus parentheses around every negation operand and existential body).
-``normalize_ql`` re-lexes query text, re-reads its boolean structure, and
-re-renders it one clause per line, so texts differing only in whitespace or
-redundant grouping normalize to identical bytes.  Token order is preserved;
-nothing is sorted.
+``lex_ql`` and ``QlReader`` read QL text: comments are skipped, leading
+``import`` lines are read apart from the query, and the query must be in
+the subset the renderer emits; anything else is a ``QlLexError`` at its
+position.  ``normalize_ql`` re-reads query text and re-renders it one clause
+per line, so texts differing only in whitespace, comments or redundant
+grouping normalize to identical bytes.  Token order is preserved; nothing
+is sorted.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import QlLexError, Span
 from .ir import (
@@ -32,8 +35,6 @@ from .ir import (
     TrueExpr,
     Var,
 )
-
-_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
 
@@ -159,52 +160,57 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
 
 # --- QL token stream ---------------------------------------------------------
 
-_PUNCT = frozenset(".,()[]|=<")
+# One alternative per token kind, tried in order, as in the "Writing a
+# Tokenizer" recipe of the ``re`` docs.  Whitespace and the two comment forms
+# of the QL language reference's "Lexical syntax" (QLDoc is a ``/** */``
+# comment) are one skip group.  ``word`` takes identifiers that start outside
+# ASCII; ``lex_ql`` keeps those that start with a letter.
+_QL_SCANNER = re.compile(
+    r"""
+      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+    | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
+    | (?P<punct>[.,()\[\]|=<])
+    | (?P<int>\d+)
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
 class QlToken:
-    kind: str  # ident | int | string | punct
-    text: str  # for strings: content between the quotes, escapes intact
+    """One QL token: ``kind`` is ident, int, string or punct; ``text`` is, for
+    a string, the content between the quotes, escapes intact; ``start`` is
+    the offset of its first character.  A slotted class rather than a
+    dataclass, since lexing a file makes one per token."""
+
+    __slots__ = ("kind", "text", "start")
+
+    def __init__(self, kind: str, text: str, start: int):
+        self.kind, self.text, self.start = kind, text, start
+
+
+def _lex_error(text: str, start: int) -> QlLexError:
+    if text[start] == '"':
+        return QlLexError("unterminated string literal", Span(start, len(text)))
+    if text.startswith("/*", start):
+        return QlLexError("unterminated comment", Span(start, len(text)))
+    return QlLexError(f"unexpected character {text[start]!r}", Span(start, start + 1))
 
 
 def lex_ql(text: str) -> list[QlToken]:
     tokens: list[QlToken] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _QL_SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise QlLexError("unterminated string literal", Span(i, n))
-            tokens.append(QlToken("string", text[i + 1 : j]))
-            i = j + 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(QlToken("punct", ch))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(QlToken("int", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(QlToken("ident", text[i:j]))
-            i = j
-            continue
-        raise QlLexError(f"unexpected character {ch!r}", Span(i, i + 1))
+        value, start = m[kind], m.start()
+        if kind == "word" and value[0].isalpha():
+            kind = "ident"
+        elif kind in ("word", "other"):
+            raise _lex_error(text, start)
+        tokens.append(QlToken(kind, value, start))
     return tokens
 
 
@@ -217,36 +223,59 @@ def _unescape(raw: str) -> str:
 _UNDERSCORE_FIX = re.compile(r"(?<=[A-Z0-9_]) (?=[A-Z0-9_])")
 
 
-class _QlReader:
-    """Minimal infix reader for the query subset the renderer emits."""
+class QlReader:
+    """Infix reader for QL text: leading ``import a.b.c`` lines, then the
+    query subset the renderer emits.
 
-    def __init__(self, tokens: list[QlToken]):
-        self.tokens = tokens
+    Constructing a reader lexes the text and reads the import lines:
+    ``imports`` holds their dotted names in order, and ``pos`` is the index
+    in ``tokens`` of the first token after them.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = lex_ql(text)
+        self.end = len(text)
         self.pos = 0
+        self.imports: list[str] = []
+        while self.accept("ident", "import"):
+            name = self.expect("ident").text
+            while self.accept("punct", "."):
+                name += "." + self.expect("ident").text
+            self.imports.append(name)
 
-    def peek(self, offset: int = 0) -> QlToken | None:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self) -> QlToken | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == kind and (text is None or tok.text == text)
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "ident" and tok.text in words
+    def accept(self, kind: str, text: str) -> bool:
+        """Take the next token if it is ``text`` of ``kind``."""
+        if self.at(kind, text):
+            self.pos += 1
+            return True
+        return False
+
+    def error(self, message: str, tok: QlToken | None = None) -> QlLexError:
+        """An error at ``tok``, by default the next token, or at the end of
+        the text when no token is left."""
+        tok = tok or self.peek()
+        if tok is None:
+            return QlLexError(message, Span(self.end, self.end))
+        return QlLexError(message, Span(tok.start, tok.start + len(tok.text)))
 
     def take(self) -> QlToken:
         tok = self.peek()
         if tok is None:
-            raise QlLexError("unexpected end of query text")
+            raise self.error("unexpected end of query text")
         self.pos += 1
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> QlToken:
         if not self.at(kind, text):
             got = self.peek()
-            raise QlLexError(f"expected {text or kind}, found {got.text if got else 'end'!r}")
+            raise self.error(f"expected {text or kind}, found {got.text if got else 'end'!r}")
         return self.take()
 
     # clause structure ------------------------------------------------------
@@ -254,18 +283,13 @@ class _QlReader:
     def read_query(self) -> QueryIR:
         decls: list[Decl] = []
         condition: BoolExpr = TrueExpr()
-        if self.at_keyword("from"):
-            self.take()
+        if self.accept("ident", "from"):
             while True:
                 ql_type = self.expect("ident").text
-                name = self.expect("ident").text
-                decls.append(Decl(name, ql_type))
-                if self.at("punct", ","):
-                    self.take()
-                    continue
-                break
-        if self.at_keyword("where"):
-            self.take()
+                decls.append(Decl(self.expect("ident").text, ql_type))
+                if not self.accept("punct", ","):
+                    break
+        if self.accept("ident", "where"):
             condition = self.read_or()
         self.expect("ident", "select")
         selects: list[str] = []
@@ -274,10 +298,10 @@ class _QlReader:
             if tok.kind == "punct" and tok.text == ",":
                 continue
             if tok.kind not in ("ident", "int"):
-                raise QlLexError(f"unexpected {tok.text!r} in select list")
+                raise self.error(f"unexpected {tok.text!r} in select list", tok)
             selects.append(tok.text)
         if not selects:
-            raise QlLexError("empty select list")
+            raise self.error("empty select list")
         if selects == ["1"]:
             selects = []
         return QueryIR(tuple(decls), condition, tuple(selects))
@@ -289,39 +313,32 @@ class _QlReader:
         while True:
             child = self.read_and()
             items.extend(child.items) if isinstance(child, Or) else items.append(child)
-            if self.at_keyword("or"):
-                self.take()
-                continue
-            return items[0] if len(items) == 1 else Or(tuple(items))
+            if not self.accept("ident", "or"):
+                return items[0] if len(items) == 1 else Or(tuple(items))
 
     def read_and(self) -> BoolExpr:
         items: list[BoolExpr] = []
         while True:
             child = self.read_unary()
             items.extend(child.items) if isinstance(child, And) else items.append(child)
-            if self.at_keyword("and"):
-                self.take()
-                continue
-            return items[0] if len(items) == 1 else And(tuple(items))
+            if not self.accept("ident", "and"):
+                return items[0] if len(items) == 1 else And(tuple(items))
 
     def read_unary(self) -> BoolExpr:
-        if self.at_keyword("not"):
-            self.take()
+        if self.accept("ident", "not"):
             self.expect("punct", "(")
             inner = self.read_or()
             self.expect("punct", ")")
             return Not(inner)
-        if self.at_keyword("exists"):
-            self.take()
+        if self.accept("ident", "exists"):
             self.expect("punct", "(")
             ql_type = self.expect("ident").text
-            name = self.expect("ident").text
+            decl = Decl(self.expect("ident").text, ql_type)
             self.expect("punct", "|")
             body = self.read_or()
             self.expect("punct", ")")
-            return Exists(Decl(name, ql_type), body)
-        if self.at("punct", "("):
-            self.take()
+            return Exists(decl, body)
+        if self.accept("punct", "("):
             inner = self.read_or()
             self.expect("punct", ")")
             return inner
@@ -329,24 +346,21 @@ class _QlReader:
 
     def read_comparison(self) -> BoolExpr:
         left = self.read_value()
-        if self.at("punct", "="):
-            self.take()
+        if self.accept("punct", "="):
             return Eq(left, self.read_value())
-        if self.at("punct", "<"):
-            self.take()
+        if self.accept("punct", "<"):
             return Lt(left, self.read_value())
-        raise QlLexError("expected '=' or '<' in comparison")
+        raise self.error("expected '=' or '<' in comparison")
 
     def read_value(self) -> QlExpr:
-        if self.at_keyword("count"):
-            self.take()
+        if self.accept("ident", "count"):
             self.expect("punct", "(")
             inner = self.read_value()
             self.expect("punct", ")")
             return Count(inner)
         tok = self.peek()
         if tok is None:
-            raise QlLexError("expected a value")
+            raise self.error("expected a value")
         if tok.kind == "string":
             self.take()
             return Lit(_unescape(tok.text))
@@ -357,8 +371,7 @@ class _QlReader:
             self.take()
             base: QlExpr = Var(tok.text)
             steps: list[str] = []
-            while self.at("punct", "."):
-                self.take()
+            while self.accept("punct", "."):
                 name = self.expect("ident").text
                 self.expect("punct", "(")
                 args: list[str] = []
@@ -371,62 +384,33 @@ class _QlReader:
                     elif arg.kind == "punct" and arg.text == ",":
                         continue
                     else:
-                        raise QlLexError(f"unexpected {arg.text!r} in call arguments")
+                        raise self.error(f"unexpected {arg.text!r} in call arguments", arg)
                 self.expect("punct", ")")
                 steps.append(f"{name}({', '.join(args)})")
             if steps:
                 return Chain(base, tuple(steps))
             return base
-        raise QlLexError(f"unexpected {tok.text!r} in value position")
+        raise self.error(f"unexpected {tok.text!r} in value position")
 
 
 def read_query_text(text: str) -> QueryIR:
-    """Re-read rendered query text into IR (reader side of the round trip)."""
-    return _QlReader(lex_ql(text)).read_query()
+    """Read QL text into IR (reader side of the round trip); import lines
+    are read and left out of the IR."""
+    return QlReader(text).read_query()
 
 
 def normalize_ql(text: str) -> str:
     """Canonical form for golden comparison: idempotent, token-preserving.
 
-    Re-lexes and re-reads the query; on success re-renders one clause per
-    line with canonical spacing and minimal parentheses.  Text that does not
-    read as a full query falls back to canonical token respacing, and text
-    that does not even lex falls back to whitespace collapse.
+    Reads the text and writes its import lines, one per line and in order,
+    then the query re-rendered one clause per line with canonical spacing
+    and minimal parentheses.  Comments are skipped, so they are not
+    compared.  Text that does not read raises ``QlLexError`` at its
+    position.
     """
-    try:
-        tokens = lex_ql(text)
-    except QlLexError:
-        return " ".join(text.split())
-    tokens = [
-        QlToken(t.kind, _UNDERSCORE_FIX.sub("_", t.text)) if t.kind == "string" else t
-        for t in tokens
-    ]
-    try:
-        ir = _QlReader(tokens).read_query()
-    except QlLexError:
-        return _respace(tokens)
-    return render(ir, line_width=math.inf)
-
-
-def _respace(tokens: list[QlToken]) -> str:
-    """Canonical single-space layout for token streams that are not a full
-    query: tight before ``) ] , .``, tight after ``( [ .``, and a call paren
-    hugs its method name while keyword parens keep a space."""
-    out = ""
-    prev: QlToken | None = None
-    for tok in tokens:
-        text = f'"{tok.text}"' if tok.kind == "string" else tok.text
-        glue = False
-        if prev is not None:
-            prev_text = prev.text if prev.kind != "string" else '"'
-            if text in (")", "]", ",", "."):
-                glue = True
-            elif prev.kind == "punct" and prev_text in ("(", "[", "."):
-                glue = True
-            elif text == "(" and prev.kind == "ident" and prev.text not in _KEYWORDS:
-                glue = True
-        if out and not glue:
-            out += " "
-        out += text
-        prev = tok
-    return out
+    reader = QlReader(text)
+    for tok in reader.tokens:
+        if tok.kind == "string":
+            tok.text = _UNDERSCORE_FIX.sub("_", tok.text)
+    ir = reader.read_query()
+    return "".join(f"import {name}\n" for name in reader.imports) + render(ir, line_width=math.inf)

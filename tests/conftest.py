@@ -8,6 +8,11 @@ from nsra.registry import builtin_crypto_profile
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# What real CodeQL files put before the query: nothing, an import line, or
+# QLDoc metadata, imports and a line comment.  The reader skips comments and
+# reads the imports apart from the query.
+QL_PREAMBLES = ("", "import java\n", "/** @kind problem */\nimport java\n// note\n")
+
 # Criterion name -> PASS / FAIL / SKIP, in the order the criteria ran.
 _acceptance_results: dict[str, str] = {}
 

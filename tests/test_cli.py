@@ -6,7 +6,7 @@ import pytest
 
 from nsra.cli import run
 from nsra.qlgen import normalize_ql
-from conftest import GOLDEN, golden_text
+from conftest import GOLDEN, QL_PREAMBLES, golden_text
 
 
 @pytest.fixture()
@@ -150,6 +150,32 @@ def test_profile_flag_capitalized_rule(workdir, capsys):
     assert 'init.getReceiverType().toString() = "Cipher"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "task, header", [("task2", "/** @name task2 @kind problem */"), ("task1", "import java")]
+)
+def test_check_with_header(workdir, capsys, task, header):
+    src = str(GOLDEN / f"{task}.nsra")
+    golden = write(workdir / f"{task}.ql", header + "\n" + golden_text(f"{task}.ql"))
+    assert run(["check", src, "--golden", golden, "--header", header]) == 0
+    assert "matches" in capsys.readouterr().out
+
+
+def test_check_reports_golden_syntax_error(workdir, capsys):
+    src = str(GOLDEN / "example_invoke.nsra")
+    golden = write(workdir / "bad.ql", 'from MethodAccess init\nwhere init.getName() = = "x"\nselect init\n')
+    assert run(["check", src, "--golden", golden]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{golden}:2:24: error: unexpected '=' in value position")
+    assert "Traceback" not in err
+
+
+def test_check_reports_header_error(workdir, capsys):
+    src = str(GOLDEN / "example_invoke.nsra")
+    golden = str(GOLDEN / "example_invoke.ql")
+    assert run(["check", src, "--golden", golden, "--header", "/* never closed"]) == 1
+    assert capsys.readouterr().err == "error: --header: unterminated comment\n"
+
+
 def test_profile_env_var(workdir, capsys, monkeypatch):
     profile = write(workdir / "p.profile", "receiver = getReceiverType()")
     query = write(
@@ -177,13 +203,17 @@ def test_metrics_text_output(capsys):
     assert "length reduction" in out
 
 
-def test_metrics_json_output(capsys):
+def test_metrics_json_output(workdir, capsys):
     src = str(GOLDEN / "task3.nsra")
-    ref = str(GOLDEN / "task3.ql")
-    assert run(["metrics", src, "--ql", ref, "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    outputs = []
+    for i, preamble in enumerate(QL_PREAMBLES):
+        ref = write(workdir / f"task3_{i}.ql", preamble + golden_text("task3.ql"))
+        assert run(["metrics", src, "--ql", ref, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    data = json.loads(outputs[0])
     assert data["length_nsra"] == 56
     assert 85.0 <= data["length_reduction_pct"] <= 90.0
+    assert outputs == [outputs[0]] * len(QL_PREAMBLES)
 
 
 def test_compile_deterministic(workdir):

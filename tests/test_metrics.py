@@ -12,7 +12,7 @@ from nsra.metrics import (
     halstead_nsra,
     halstead_ql,
 )
-from conftest import golden_text
+from conftest import QL_PREAMBLES, golden_text
 
 
 def test_minimal_statement_operands():
@@ -116,31 +116,41 @@ def test_invalid_counts_rejected():
 
 
 def test_ql_counts_empty_where():
-    counts = halstead_ql("from MethodAccess m\nselect m")
-    assert counts.total_operators == 2  # from, select
-    assert counts.total_operands == 3  # MethodAccess, m, m
+    for preamble in QL_PREAMBLES:
+        counts = halstead_ql(preamble + "from MethodAccess m\nselect m")
+        assert counts.total_operators == 2  # from, select
+        assert counts.total_operands == 3  # MethodAccess, m, m
 
 
 def test_ql_method_names_are_operators():
-    counts = halstead_ql('from T x\nwhere x.getName() = "v"\nselect x')
-    # operands: T, x, x, "v", x ; getName is an operator
-    assert counts.total_operands == 5
+    for preamble in QL_PREAMBLES:
+        counts = halstead_ql(preamble + 'from T x\nwhere x.getName() = "v"\nselect x')
+        # operands: T, x, x, "v", x ; getName is an operator
+        assert counts.total_operands == 5
+
+
+def _ql_counts(task: str):
+    """Counts of a compiled task, the same under every preamble."""
+    ql = compile_text(golden_text(f"{task}.nsra"))
+    counts = halstead_ql(ql)
+    assert all(halstead_ql(preamble + ql) == counts for preamble in QL_PREAMBLES)
+    return counts
 
 
 def test_ql_band_listing2():
-    counts = halstead_ql(compile_text(golden_text("task1.nsra")))
+    counts = _ql_counts("task1")
     assert 32 * 0.85 <= counts.vocabulary <= 32 * 1.15
     assert 179 * 0.90 <= counts.length <= 179 * 1.10
 
 
 def test_ql_band_listing3():
-    counts = halstead_ql(compile_text(golden_text("task2.nsra")))
+    counts = _ql_counts("task2")
     assert 27 * 0.85 <= counts.vocabulary <= 27 * 1.15
     assert 107 * 0.90 <= counts.length <= 107 * 1.10
 
 
 def test_ql_band_listing4():
-    counts = halstead_ql(compile_text(golden_text("task3.nsra")))
+    counts = _ql_counts("task3")
     assert 42 * 0.85 <= counts.vocabulary <= 42 * 1.15
     assert 434 * 0.90 <= counts.length <= 434 * 1.10
 

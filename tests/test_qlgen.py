@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsra.errors import QlLexError, line_column
 from nsra.ir import (
     And,
     BoolExpr,
@@ -29,7 +30,7 @@ from nsra.qlgen import (
     read_query_text,
     render,
 )
-from conftest import golden_text
+from conftest import QL_PREAMBLES, golden_text
 
 
 def eq(name: str, value: str = "v") -> Eq:
@@ -158,17 +159,30 @@ def test_normalize_regroups_associative_parens():
     assert normalize_ql(a) == normalize_ql(b)
 
 
-def test_normalize_non_query_text_falls_back_to_respacing():
-    fragment = 'x.getName( )="v"  and  y . getName() = "w"'
-    out = normalize_ql(fragment)
-    assert out == 'x.getName() = "v" and y.getName() = "w"'
-    assert normalize_ql(out) == out
+def test_normalize_compares_imports_not_comments():
+    query = 'from T x\nwhere x.getName() = "v"\nselect x\n'
+    assert normalize_ql("import java\n" + query) == "import java\n" + normalize_ql(query)
+    commented = '/** @kind problem */\nimport java // the library\n/* none */ ' + query
+    assert normalize_ql(commented) == normalize_ql("import java\n" + query)
+    assert normalize_ql("import semmle.code.java.Expr\nimport java\n" + query).startswith(
+        "import semmle.code.java.Expr\nimport java\nfrom T x\n"
+    )
 
 
-def test_normalize_fallback_on_unlexable_text():
+def test_normalize_non_query_text_raises_at_its_position():
+    fragment = 'where\n  x.getName( )="v"  and  y . getName() = "w"'
+    with pytest.raises(QlLexError) as info:
+        normalize_ql(fragment)
+    assert "expected select" in info.value.message
+    assert line_column(fragment, info.value.span.start) == (2, 45)  # end of text
+
+
+def test_normalize_unlexable_text_raises_at_its_position():
     garbage = "where ???   ???"
-    out = normalize_ql(garbage)
-    assert out == "where ??? ???"
+    with pytest.raises(QlLexError) as info:
+        normalize_ql(garbage)
+    assert info.value.message == "unexpected character '?'"
+    assert line_column(garbage, info.value.span.start) == (1, 7)
 
 
 # --- reader round trip ---------------------------------------------------------
@@ -208,13 +222,13 @@ def _conditions() -> st.SearchStrategy[BoolExpr]:
     )
 
 
-@given(_conditions(), st.sampled_from([40, 100, math.inf]))
+@given(_conditions(), st.sampled_from([40, 100, math.inf]), st.sampled_from(QL_PREAMBLES))
 @settings(max_examples=300, deadline=None)
-def test_reader_reconstructs_rendered_condition(cond, line_width):
+def test_reader_reconstructs_rendered_condition(cond, line_width, preamble):
     ir = QueryIR((Decl("init", "MethodAccess"),), simplify(cond), ("init",))
     if isinstance(ir.condition, type(TRUE)):
         return
-    text = render(ir, line_width=line_width)
+    text = preamble + render(ir, line_width=line_width)
     assert read_query_text(text) == ir
 
 
@@ -225,7 +239,16 @@ def test_reader_reads_select_one_as_empty_selects():
 
 
 def test_lexer_error_positions():
-    from nsra.errors import QlLexError
-
     with pytest.raises(QlLexError):
         lex_ql('x = "unterminated')
+
+
+def test_lex_ql_skips_comments():
+    text = '/** QLDoc\n @kind problem */ from // to the end of the line\nT /* inline */ x'
+    tokens = lex_ql(text)
+    assert [(t.kind, t.text) for t in tokens] == [("ident", "from"), ("ident", "T"), ("ident", "x")]
+    assert [text[t.start : t.start + len(t.text)] for t in tokens] == ["from", "T", "x"]
+    with pytest.raises(QlLexError) as info:
+        lex_ql("select x /* never closed")
+    assert info.value.message == "unterminated comment"
+    assert info.value.span.start == 9
