@@ -1,7 +1,7 @@
 """Tokenizer and paraphrase normalizer for the controlled-English query language.
 
-``tokenize`` segments raw text into tokens whose concatenation (plus the
-skipped whitespace) reconstructs the input.  ``normalize`` then rewrites the
+``tokenize`` segments raw text into tokens whose spans, with only
+whitespace between them, cover the input.  ``normalize`` then rewrites the
 token stream into the canonical surface form the parser understands:
 contractions expanded, possessives turned into ``of`` phrases, and articles
 dropped.
@@ -9,10 +9,11 @@ dropped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .errors import IllegalCharacter, Span, UnterminatedString
+from .errors import IllegalCharacter, SourceError, Span, UnterminatedString
 
 
 class TokenKind(Enum):
@@ -86,18 +87,39 @@ STRUCTURE_WORDS = frozenset(
     | ARTICLES
 )
 
-# Words that can directly follow an article without making the article a
-# determiner of a user noun phrase is not a thing we need to model; instead,
-# an article is dropped only when the next word is not one of these
-# statement-level keywords.  This keeps a bare identifier "a" (as in
-# "a is b.") intact.
+# An article is dropped as a determiner, unless the next word is one of these
+# statement keywords: then the article is itself a subject, as the identifier
+# "a" is in "a is b.".
 _ARTICLE_STOPPERS = frozenset(
     {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
 )
 
-_QUOTE_PAIRS = {'"': '"', "“": "”", "”": "”"}
-
-_WORDLIKE = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# One alternative per token kind, tried in order, as in the "Writing a
+# Tokenizer" recipe of the ``re`` docs; a group named after a ``TokenKind``
+# yields that kind, and a ``name`` is classified by ``_classify``.  A string
+# opens with any of ``" “ ”`` and closes at the first ``"`` or ``”``.  An
+# apostrophe before ``s`` and a non-word character is the possessive marker;
+# any other apostrophe between word characters makes one contraction WORD
+# (``doesn't``).  ``error`` takes any other character, so ``²`` is illegal
+# where ``\d`` reads only decimal digits.
+_SCANNER = re.compile(
+    r"""
+      (?P<space>\s+)
+    | ["“”](?P<STRING>[^"”]*)["”]
+    | (?P<LIST_OPEN>\[)
+    | (?P<LIST_CLOSE>\])
+    | (?P<COMMA>,)
+    | (?P<PERIOD>\.)
+    | (?P<POSSESSIVE>['’][sS](?![A-Za-z0-9_]))
+    | (?P<INT>\d+)
+    | (?P<WORD>[A-Za-z0-9_]+['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)
+    | (?P<name>[A-Za-z0-9_]+)
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_GROUP_KINDS = TokenKind.__members__
+_WORD_KINDS = (TokenKind.WORD, TokenKind.ORDINAL, TokenKind.IDENT)
 
 
 def _classify(word: str) -> TokenKind:
@@ -109,6 +131,15 @@ def _classify(word: str) -> TokenKind:
     return TokenKind.IDENT
 
 
+def _lex_error(text: str, start: int) -> SourceError:
+    ch = text[start]
+    if ch in "\"“”":
+        return UnterminatedString("unterminated string literal", Span(start, len(text)))
+    if ch in "'’":
+        return IllegalCharacter(f"stray {ch!r}", Span(start, start + 1))
+    return IllegalCharacter(f"illegal character {ch!r}", Span(start, start + 1))
+
+
 def tokenize(text: str) -> list[Token]:
     """Segment query text into tokens.
 
@@ -118,92 +149,28 @@ def tokenize(text: str) -> list[Token]:
     expand.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _SCANNER.finditer(text):
+        group = m.lastgroup
+        if group == "space":
             continue
-        if ch in _QUOTE_PAIRS:
-            closing = _QUOTE_PAIRS[ch]
-            j = i + 1
-            while j < n and text[j] not in (closing, '"', "”"):
-                j += 1
-            if j >= n:
-                raise UnterminatedString("unterminated string literal", Span(i, n))
-            tokens.append(Token(TokenKind.STRING, text[i + 1 : j], Span(i, j + 1)))
-            i = j + 1
-            continue
-        if ch == "[":
-            tokens.append(Token(TokenKind.LIST_OPEN, ch, Span(i, i + 1)))
-            i += 1
-            continue
-        if ch == "]":
-            tokens.append(Token(TokenKind.LIST_CLOSE, ch, Span(i, i + 1)))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ch, Span(i, i + 1)))
-            i += 1
-            continue
-        if ch == ".":
-            tokens.append(Token(TokenKind.PERIOD, ch, Span(i, i + 1)))
-            i += 1
-            continue
-        if ch in ("'", "’"):
-            # Only the possessive suffix reaches here; contractions are
-            # consumed while lexing the preceding word.
-            if i + 1 < n and text[i + 1] in ("s", "S") and (i + 2 >= n or text[i + 2] not in _WORDLIKE):
-                tokens.append(Token(TokenKind.POSSESSIVE, text[i : i + 2], Span(i, i + 2)))
-                i += 2
-                continue
-            raise IllegalCharacter(f"stray {ch!r}", Span(i, i + 1))
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token(TokenKind.INT, text[i:j], Span(i, j)))
-            i = j
-            continue
-        if ch in _WORDLIKE:
-            j = i
-            while j < n and text[j] in _WORDLIKE:
-                j += 1
-            # Absorb an apostrophe that is part of a contraction (doesn't);
-            # a trailing 's stays separate as the possessive marker.
-            if (
-                j < n
-                and text[j] in ("'", "’")
-                and j + 1 < n
-                and text[j + 1] in _WORDLIKE
-                and not (text[j + 1] in ("s", "S") and (j + 2 >= n or text[j + 2] not in _WORDLIKE))
-            ):
-                j += 2
-                while j < n and text[j] in _WORDLIKE:
-                    j += 1
-                tokens.append(Token(TokenKind.WORD, text[i:j], Span(i, j)))
-                i = j
-                continue
-            word = text[i:j]
-            tokens.append(Token(_classify(word), word, Span(i, j)))
-            i = j
-            continue
-        raise IllegalCharacter(f"illegal character {ch!r}", Span(i, i + 1))
+        if group == "error":
+            raise _lex_error(text, m.start())
+        value = m[group]
+        tokens.append(Token(_GROUP_KINDS.get(group) or _classify(value), value, Span(*m.span())))
     return tokens
 
 
-def _word(template: Token, text: str, kind: TokenKind | None = None) -> Token:
+def _word(template: Token, text: str) -> Token:
     """Synthesize a token at the source position of ``template``."""
-    return Token(kind or _classify(text), text, template.span)
+    return Token(_classify(text), text, template.span)
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
     """Rewrite a token stream into canonical surface form.
 
-    Three rewrites, applied in order:
+    Three rewrites, applied in order, each one pass over the tokens:
 
-    1. ``doesn't`` (and ``doesn`` + ``'t`` variants) expands to ``does not``.
+    1. ``doesn't`` (or typographic ``doesn’t``) expands to ``does not``.
     2. Possessives: ``X 's [ordinal] attr`` becomes ``[ordinal] attr of X``.
     3. Articles drop, unless the following token is a statement keyword, so
        a bare identifier spelled ``a`` survives (``a is b.``).
@@ -222,12 +189,10 @@ def normalize(tokens: list[Token]) -> list[Token]:
     out = _rewrite_possessives(out)
 
     result: list[Token] = []
-    for idx, tok in enumerate(out):
+    for tok, nxt in zip(out, [*out[1:], None]):
         if tok.kind is TokenKind.WORD and tok.lowered() in ARTICLES:
-            nxt = out[idx + 1] if idx + 1 < len(out) else None
-            if nxt is not None and nxt.kind in (TokenKind.WORD, TokenKind.ORDINAL, TokenKind.IDENT):
-                if nxt.lowered() not in _ARTICLE_STOPPERS:
-                    continue
+            if nxt is not None and nxt.kind in _WORD_KINDS and nxt.lowered() not in _ARTICLE_STOPPERS:
+                continue
             # An article not determining a noun phrase is really an
             # identifier that happens to be spelled "a" (as in "a is b.").
             tok = Token(TokenKind.IDENT, tok.text, tok.span)
@@ -236,30 +201,35 @@ def normalize(tokens: list[Token]) -> list[Token]:
 
 
 def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
-    """Turn ``X 's [ordinal] attr`` into ``[ordinal] attr of X``.
+    """Turn ``X 's [ordinal] attr`` into ``[ordinal] attr of X`` in one
+    left-to-right pass.
 
-    The possessor is the single token before ``'s``; chains like
-    ``x's type's name`` resolve right-to-left by iterating to fixpoint.
+    The possessor ``X`` is the word before ``'s``, or, when ``'s`` directly
+    follows a rewritten phrase, that whole phrase: possessive chains read
+    left to right, so ``m's method's name`` becomes ``name of method of m``.
     """
-    while True:
-        idx = next((i for i, t in enumerate(tokens) if t.kind is TokenKind.POSSESSIVE), None)
-        if idx is None:
-            return tokens
-        if idx == 0 or tokens[idx - 1].kind not in (TokenKind.IDENT, TokenKind.WORD):
-            raise IllegalCharacter("possessive marker without a possessor", tokens[idx].span)
-        owner = tokens[idx - 1]
-        phrase: list[Token] = []
-        j = idx + 1
-        if j < len(tokens) and tokens[j].kind is TokenKind.ORDINAL:
-            phrase.append(tokens[j])
+    out: list[Token] = []
+    start = end = -1  # out[start:end] is the last rewritten phrase
+    i, n = 0, len(tokens)
+    while i < n:
+        tok = tokens[i]
+        if tok.kind is not TokenKind.POSSESSIVE:
+            out.append(tok)
+            i += 1
+            continue
+        if len(out) != end:
+            if not out or out[-1].kind not in (TokenKind.IDENT, TokenKind.WORD):
+                raise IllegalCharacter("possessive marker without a possessor", tok.span)
+            start = len(out) - 1
+        j = i + 1
+        if j < n and tokens[j].kind is TokenKind.ORDINAL:
             j += 1
-        if j < len(tokens) and tokens[j].kind in (TokenKind.IDENT, TokenKind.WORD):
-            phrase.append(tokens[j])
-            j += 1
-        if not phrase or phrase[-1].kind not in (TokenKind.IDENT, TokenKind.WORD):
-            raise IllegalCharacter("possessive marker without an attribute", tokens[idx].span)
-        rewritten = phrase + [_word(tokens[idx], "of")] + [owner]
-        tokens = tokens[: idx - 1] + rewritten + tokens[j:]
+        if j >= n or tokens[j].kind not in (TokenKind.IDENT, TokenKind.WORD):
+            raise IllegalCharacter("possessive marker without an attribute", tok.span)
+        out[start:] = [*tokens[i + 1 : j + 1], _word(tok, "of"), *out[start:]]
+        end = len(out)
+        i = j + 1
+    return out
 
 
 def ordinal_value(word: str) -> int | None:

@@ -171,7 +171,6 @@ class ComparisonRow:
     reduction_pct: float
     vocab_reduction_pct: float
     effort_ratio: float
-    time_ratio: float
 
     def to_dict(self) -> dict[str, float | int]:
         return {
@@ -182,18 +181,18 @@ class ComparisonRow:
             "length_reduction_pct": self.reduction_pct,
             "vocabulary_reduction_pct": self.vocab_reduction_pct,
             "effort_ratio": self.effort_ratio,
-            "time_ratio": self.time_ratio,
         }
 
 
 def compare(nsra: HalsteadCounts, ql: HalsteadCounts) -> ComparisonRow:
-    """Length/vocabulary reductions and effort/time ratios (QL over NSRA)."""
+    """Length/vocabulary reductions and the effort ratio (QL over NSRA).
+
+    The time ratio would equal the effort ratio: both times divide by
+    ``STROUD_SECONDS``."""
     if ql.length == 0:
         raise ZeroDivisionError("cannot compare against an empty query")
     if ql.vocabulary == 0:
         raise ZeroDivisionError("cannot compare against an empty vocabulary")
-    effort_ratio = ql.effort / nsra.effort if nsra.effort else math.inf
-    time_ratio = ql.time_seconds / nsra.time_seconds if nsra.time_seconds else math.inf
     return ComparisonRow(
         vocab_nsra=nsra.vocabulary,
         vocab_ql=ql.vocabulary,
@@ -201,8 +200,7 @@ def compare(nsra: HalsteadCounts, ql: HalsteadCounts) -> ComparisonRow:
         length_ql=ql.length,
         reduction_pct=100.0 * (1.0 - nsra.length / ql.length),
         vocab_reduction_pct=100.0 * (1.0 - nsra.vocabulary / ql.vocabulary),
-        effort_ratio=effort_ratio,
-        time_ratio=time_ratio,
+        effort_ratio=ql.effort / nsra.effort if nsra.effort else math.inf,
     )
 
 
@@ -214,6 +212,5 @@ def format_row(row: ComparisonRow) -> str:
         f"length reduction:     {row.reduction_pct:6.1f}%",
         f"vocabulary reduction: {row.vocab_reduction_pct:6.1f}%",
         f"effort ratio (ql/query): {row.effort_ratio:.1f}x",
-        f"time ratio (ql/query):   {row.time_ratio:.1f}x",
     ]
     return "\n".join(lines)

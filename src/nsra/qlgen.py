@@ -215,7 +215,7 @@ def lex_ql(text: str) -> list[QlToken]:
 
 
 def _unescape(raw: str) -> str:
-    return re.sub(r"\\(.)", r"\1", raw)
+    return re.sub(r"\\(.)", r"\1", raw, flags=re.DOTALL)
 
 
 # Inside string literals, a lone space between identifier-ish capitals is a

@@ -45,6 +45,14 @@ def test_compile_parse_error_diagnostics(workdir, capsys):
     assert "Traceback" not in err
 
 
+def test_compile_rejects_non_decimal_digit_at_its_position(workdir, capsys):
+    bad = write(workdir / "bad.nsra", "An object of Cipher invokes init.\nThe first argument of init is ².\n")
+    assert run(["compile", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:2:31: error: illegal character '²'")
+    assert "Traceback" not in err
+
+
 def test_metrics_diagnostic_points_into_the_query(workdir, capsys):
     bad = write(workdir / "bad.nsra", 'An object of Cipher invokes init.\nThe name of init is "x.\n')
     ref = str(GOLDEN / "example_invoke.ql")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nsra.errors import IllegalCharacter, UnterminatedString
+from nsra.errors import IllegalCharacter, SourceError, UnterminatedString
 from nsra.lexer import TokenKind, normalize, tokenize
 
 
@@ -45,13 +47,32 @@ def test_possessive_and_ordinal():
     assert tokens[0].text == "init"
 
 
-def test_spans_reconstruct_source():
-    source = 'It is necessary that init\'s first argument is in ["a", "b"].'
-    tokens = tokenize(source)
-    rebuilt = "".join(source[t.span.start : t.span.end] for t in tokens)
-    assert rebuilt == source.replace(" ", "")
+# Fragments joined by whitespace or by nothing, so that joins make
+# contractions, possessives and stray apostrophes too; some are rejected.
+_FRAGMENTS = st.sampled_from(
+    ["init", "first", "the", "a", "is", "of", "'s", "’S", "doesn't", "x1", "42", "٣", ",", ".", "[", "]"]
+    + ['"RSA"', "“AES”", '""', "'", "é", "²"]
+)
+_SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "\u00a0"])
+
+
+@given(st.lists(st.tuples(_FRAGMENTS, _SEPARATORS)).map(lambda parts: "".join(f + sep for f, sep in parts)))
+@example('It is necessary that init\'s first argument is in ["a", "b"].')
+@settings(max_examples=300, deadline=None)
+def test_spans_reconstruct_source(source):
+    try:
+        tokens = tokenize(source)
+    except SourceError as err:
+        assert not source[err.span.start].isspace()  # all whitespace separates
+        return
+    end = 0
     for t in tokens:
-        assert 0 <= t.span.start < t.span.end <= len(source)
+        assert end <= t.span.start < t.span.end
+        assert source[end : t.span.start].strip() == ""
+        covered = source[t.span.start : t.span.end]
+        assert t.text == (covered[1:-1] if t.kind is TokenKind.STRING else covered)
+        end = t.span.end
+    assert source[end:].strip() == ""
 
 
 def test_typographic_quotes_accepted():
@@ -73,8 +94,11 @@ def test_unterminated_string():
 
 
 def test_illegal_character():
-    with pytest.raises(IllegalCharacter):
-        tokenize("x is ; y")
+    # "²" is a digit to str.isdigit but not a decimal one int() can read.
+    for text, start in (("x is ; y", 5), ("The first argument of init is ².", 30)):
+        with pytest.raises(IllegalCharacter) as info:
+            tokenize(text)
+        assert (info.value.span.start, info.value.span.end) == (start, start + 1)
 
 
 def test_integer_literal():
@@ -105,6 +129,9 @@ def test_doesnt_expands():
 
 def test_possessive_rewrites_to_of_form():
     assert norm_texts("init's first argument") == ["first", "argument", "of", "init"]
+    # A chain reads left to right: the possessor is everything before "'s".
+    assert norm_texts("m's method's name") == ["name", "of", "method", "of", "m"]
+    assert norm_texts("g's first argument's algorithm") == ["algorithm", "of", "first", "argument", "of", "g"]
 
 
 def test_possessive_without_ordinal():

@@ -224,6 +224,13 @@ def test_undeclared_subject_in_statement(registry):
         lower_text('the name of ghost is "x".', registry)
 
 
+def test_possessive_chain_lowers_like_of_chain(registry):
+    invoke = "An object of Cipher invokes m. "
+    chained = lower_text(invoke + 'm\'s method\'s name is "x".', registry)
+    assert chained == lower_text(invoke + 'the name of the method of m is "x".', registry)
+    assert Eq(Chain(Var("m"), ("getMethod()", "getName()")), Lit("x")) in chained.condition.items
+
+
 def test_is_not_lowers_to_negated_equality(registry):
     ir = lower_text(
         'An object of Cipher invokes init. the name of init is not "x".', registry

@@ -63,7 +63,11 @@ def test_paraphrases_count_identically():
         "An object of Cipher invokes getInstance. "
         'the algorithm of the first argument of getInstance is "RSA".'
     )
-    assert a == b
+    chained = halstead_nsra(
+        "An object of Cipher invokes getInstance. "
+        'getInstance\'s first argument\'s algorithm is "RSA".'
+    )
+    assert a == b == chained
     # The parser reads attribute words case-insensitively; so does counting.
     capitalized = halstead_nsra(
         'An object of Cipher invokes m. Algorithm of m\'s first argument is "RSA".'

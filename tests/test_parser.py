@@ -96,9 +96,10 @@ def test_paraphrase_forms_identical():
         'the algorithm of getInstance\'s first argument is "RSA".',
         'the algorithm of the first argument of getInstance is "RSA".',
         '"RSA" is the algorithm of getInstance\'s first argument.',
+        'getInstance\'s first argument\'s algorithm is "RSA".',
     ]
     parsed = [single(f) for f in forms]
-    assert parsed[0] == parsed[1] == parsed[2]
+    assert parsed[0] == parsed[1] == parsed[2] == parsed[3]
 
 
 def test_it_is_false_that():

@@ -243,6 +243,13 @@ def test_lexer_error_positions():
         lex_ql('x = "unterminated')
 
 
+def test_backslash_newline_in_string_reads_as_newline():
+    text = 'from T x\nwhere x.a() = "p\\\nq"\nselect x\n'
+    ir = read_query_text(text)
+    assert ir.condition == Eq(Chain(Var("x"), ("a()",)), Lit("p\nq"))
+    assert read_query_text(normalize_ql(text)) == ir
+
+
 def test_lex_ql_skips_comments():
     text = '/** QLDoc\n @kind problem */ from // to the end of the line\nT /* inline */ x'
     tokens = lex_ql(text)
