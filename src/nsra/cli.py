@@ -7,7 +7,6 @@ Diagnostics go to stderr as ``file:line:col: severity: message``.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
@@ -172,6 +171,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"{args.input}: matches {args.golden}")
         return 0
     print(f"{args.input}: does not match {args.golden}", file=sys.stderr)
+    import difflib  # here, not at the top: only a mismatch needs it
+
     diff = difflib.unified_diff(
         right.splitlines(), left.splitlines(), fromfile=args.golden, tofile=args.input, lineterm=""
     )

@@ -1,20 +1,42 @@
-"""Exception types and diagnostic helpers shared across the compiler."""
+"""Exception types, diagnostic helpers, source spans and the base of the
+value classes, shared across the compiler."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Record:
+    """Base of the compiler's value classes.  A subclass lists its fields in
+    ``__slots__`` and assigns them in ``__init__``.  Records are equal when
+    they are of the same class and their fields are equal, hash by their
+    fields, and print as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """Half-open character range [start, end) into the source text."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"backwards span: {self.start}..{self.end}")
+    def __init__(self, start: int, end: int):
+        if start > end:
+            raise ValueError(f"backwards span: {start}..{end}")
+        self.start, self.end = start, end
 
 
 class SourceError(Exception):

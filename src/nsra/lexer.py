@@ -10,10 +10,9 @@ dropped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 
-from .errors import IllegalCharacter, SourceError, Span, UnterminatedString
+from .errors import IllegalCharacter, Record, SourceError, Span, UnterminatedString
 
 
 class TokenKind(Enum):
@@ -29,11 +28,11 @@ class TokenKind(Enum):
     POSSESSIVE = auto()    # 's
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    span: Span
+class Token(Record):
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: TokenKind, text: str, span: Span):
+        self.kind, self.text, self.span = kind, text, span
 
     def lowered(self) -> str:
         return self.text.lower()

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import Record
 from .lexer import TokenKind, normalize, tokenize
 from .qlgen import QlReader
 from .registry import Registry, builtin_crypto_profile
@@ -30,23 +31,18 @@ from .registry import Registry, builtin_crypto_profile
 STROUD_SECONDS = 18  # mental discriminations per second in the time formula
 
 
-@dataclass(frozen=True)
-class HalsteadCounts:
-    distinct_operators: int
-    distinct_operands: int
-    total_operators: int
-    total_operands: int
+class HalsteadCounts(Record):
+    __slots__ = ("distinct_operators", "distinct_operands", "total_operators", "total_operands")
 
-    def __post_init__(self) -> None:
-        if min(
-            self.distinct_operators,
-            self.distinct_operands,
-            self.total_operators,
-            self.total_operands,
-        ) < 0:
+    def __init__(
+        self, distinct_operators: int, distinct_operands: int, total_operators: int, total_operands: int
+    ):
+        if min(distinct_operators, distinct_operands, total_operators, total_operands) < 0:
             raise ValueError("negative Halstead count")
-        if self.total_operands > 0 and self.distinct_operands == 0:
+        if total_operands > 0 and distinct_operands == 0:
             raise ValueError("operands counted but none distinct")
+        self.distinct_operators, self.distinct_operands = distinct_operators, distinct_operands
+        self.total_operators, self.total_operands = total_operators, total_operands
 
     @property
     def vocabulary(self) -> int:

@@ -22,15 +22,11 @@ the parser reads them.  User rules shadow built-in rules by attribute word.
 from __future__ import annotations
 
 import functools
-import logging
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BadTemplate, ConfigParseError, DuplicateAttribute, UnknownAttribute
+from .errors import BadTemplate, ConfigParseError, DuplicateAttribute, Record, UnknownAttribute
 from .qlgen import escape_string
-
-log = logging.getLogger(__name__)
 
 ORDINAL_SLOT = "@ordinal"
 
@@ -38,13 +34,14 @@ ORDINAL_SLOT = "@ordinal"
 _STRING_RESULTS = frozenset({"toString", "getName", "replaceAll", "splitAt"})
 
 
-@dataclass(frozen=True)
-class CallStep:
-    """One rendered method call: name plus literal args, with at most one
-    ordinal slot."""
+class CallStep(Record):
+    """One rendered method call: name plus literal args (str or int literals,
+    or ORDINAL_SLOT), with at most one ordinal slot."""
 
-    name: str
-    args: tuple[object, ...] = ()  # str | int literals, or ORDINAL_SLOT
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[object, ...] = ()):
+        self.name, self.args = name, args
 
     def render(self, ordinal_index: int | None = None) -> str:
         rendered = []
@@ -60,18 +57,17 @@ class CallStep:
         return f"{self.name}({', '.join(rendered)})"
 
 
-@dataclass(frozen=True)
-class AttributeRule:
-    word: str
-    steps: tuple[CallStep, ...]
-    result_kind: str  # "string" | "object"
+class AttributeRule(Record):
+    """``result_kind`` is "string" or "object"."""
 
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise BadTemplate(self.word, "template has no calls")
-        slots = sum(1 for s in self.steps for a in s.args if a == ORDINAL_SLOT)
-        if slots > 1:
-            raise BadTemplate(self.word, "template names an ordinal slot twice")
+    __slots__ = ("word", "steps", "result_kind")
+
+    def __init__(self, word: str, steps: tuple[CallStep, ...], result_kind: str):
+        if not steps:
+            raise BadTemplate(word, "template has no calls")
+        if sum(1 for s in steps for a in s.args if a == ORDINAL_SLOT) > 1:
+            raise BadTemplate(word, "template names an ordinal slot twice")
+        self.word, self.steps, self.result_kind = word, steps, result_kind
 
     @property
     def has_ordinal_slot(self) -> bool:
@@ -81,24 +77,30 @@ class AttributeRule:
         return tuple(step.render(ordinal_index) for step in self.steps)
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Record):
     """Attribute rules, type aliases and QL type names, held in read-only
     maps so that one instance (the built-in profile) can be shared."""
 
-    rules: Mapping[str, AttributeRule] = field(default_factory=dict)
-    type_aliases: Mapping[str, str] = field(default_factory=dict)
-    ql_type_names: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("rules", "type_aliases", "ql_type_names")
 
-    def __post_init__(self) -> None:
-        for name in ("rules", "type_aliases", "ql_type_names"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    def __init__(
+        self,
+        rules: Mapping[str, AttributeRule] = MappingProxyType({}),
+        type_aliases: Mapping[str, str] = MappingProxyType({}),
+        ql_type_names: Mapping[str, str] = MappingProxyType({}),
+    ):
+        self.rules = MappingProxyType(dict(rules))
+        self.type_aliases = MappingProxyType(dict(type_aliases))
+        self.ql_type_names = MappingProxyType(dict(ql_type_names))
 
     def resolve_alias(self, simple_name: str) -> str:
-        """Qualified name for a simple type name; unknown names pass through."""
+        """Qualified name for a simple type name; unknown names pass through
+        with a warning on the ``nsra.registry`` logger."""
         if simple_name in self.type_aliases:
             return self.type_aliases[simple_name]
-        log.warning("no qualified-name alias for type %r; using it as written", simple_name)
+        import logging  # here, not at the top: only this fallback logs
+
+        logging.getLogger(__name__).warning("no qualified-name alias for type %r; using it as written", simple_name)
         return simple_name
 
 

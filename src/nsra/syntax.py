@@ -6,30 +6,36 @@ is ``Prefixed("type", None, Prefixed("argument", 2, Ident("init")))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
+from .errors import Record
 from .lexer import ORDINALS
 
 
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Union[str, int]
+class Literal(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[str, int]):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Ident(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Prefixed:
-    attribute: str
-    ordinal: int | None  # 1-based, present only when the surface text had one
-    inner: "Exp"
+class Prefixed(Record):
+    """``ordinal`` is 1-based, present only when the surface text had one."""
+
+    __slots__ = ("attribute", "ordinal", "inner")
+
+    def __init__(self, attribute: str, ordinal: int | None, inner: Exp):
+        self.attribute, self.ordinal, self.inner = attribute, ordinal, inner
 
 
 Exp = Union[Literal, Ident, Prefixed]
@@ -38,17 +44,21 @@ Exp = Union[Literal, Ident, Prefixed]
 # --- statement right-hand sides --------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiteralList:
-    items: tuple[Literal, ...]
+class LiteralList(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Literal, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class TypeAssumption:
+class TypeAssumption(Record):
     """RHS of ``x is a variable`` style statements; ``noun`` is the English
     type noun (variable, class, method access)."""
 
-    noun: str
+    __slots__ = ("noun",)
+
+    def __init__(self, noun: str):
+        self.noun = noun
 
 
 BasicRhs = Union[Exp, LiteralList, TypeAssumption]
@@ -57,62 +67,71 @@ BasicRhs = Union[Exp, LiteralList, TypeAssumption]
 # --- statements -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Basic:
-    lhs: Exp
-    rhs: BasicRhs
-    negated: bool = False
+class Basic(Record):
+    __slots__ = ("lhs", "rhs", "negated")
+
+    def __init__(self, lhs: Exp, rhs: BasicRhs, negated: bool = False):
+        self.lhs, self.rhs, self.negated = lhs, rhs, negated
 
 
-@dataclass(frozen=True)
-class AndStmt:
-    items: tuple["Statement", ...]
+class AndStmt(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Statement, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class OrStmt:
-    items: tuple["Statement", ...]
+class OrStmt(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Statement, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class NotStmt:
-    inner: "Statement"
+class NotStmt(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Statement):
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class IfStmt:
-    cond: "Statement"
-    then: "Statement"
+class IfStmt(Record):
+    __slots__ = ("cond", "then")
+
+    def __init__(self, cond: Statement, then: Statement):
+        self.cond, self.then = cond, then
 
 
-@dataclass(frozen=True)
-class Necessity:
-    inner: "Statement"
+class Necessity(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Statement):
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class InvocationPattern:
-    class_name: str
-    method_name: str
-    positive: bool = True
+class InvocationPattern(Record):
+    __slots__ = ("class_name", "method_name", "positive")
+
+    def __init__(self, class_name: str, method_name: str, positive: bool = True):
+        self.class_name, self.method_name, self.positive = class_name, method_name, positive
 
 
-@dataclass(frozen=True)
-class OrderingPattern:
-    before: str
-    after: str
-    direction: str = "precedes"  # surface verb: precedes | follows
+class OrderingPattern(Record):
+    """``direction`` is the surface verb: precedes or follows."""
+
+    __slots__ = ("before", "after", "direction")
+
+    def __init__(self, before: str, after: str, direction: str = "precedes"):
+        self.before, self.after, self.direction = before, after, direction
 
 
-@dataclass(frozen=True)
-class SignaturePattern:
-    method_name: str
-    type_names: tuple[str, ...]
-    positive: bool = True
+class SignaturePattern(Record):
+    __slots__ = ("method_name", "type_names", "positive")
 
-    def __post_init__(self) -> None:
-        if not self.type_names:
+    def __init__(self, method_name: str, type_names: tuple[str, ...], positive: bool = True):
+        if not type_names:
             raise ValueError("signature pattern needs at least one type name")
+        self.method_name, self.type_names, self.positive = method_name, type_names, positive
 
 
 Statement = Union[
@@ -128,13 +147,13 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
-class QueryAst:
-    statements: tuple[Statement, ...] = field(default_factory=tuple)
+class QueryAst(Record):
+    __slots__ = ("statements",)
 
-    def __post_init__(self) -> None:
-        if not self.statements:
+    def __init__(self, statements: tuple[Statement, ...] = ()):
+        if not statements:
             raise ValueError("a query needs at least one statement")
+        self.statements = statements
 
 
 # --- canonical printer -------------------------------------------------------

@@ -26,10 +26,6 @@ from nsra.ir import (
     Not,
     Or,
     Var,
-    assignments,
-    atoms,
-    evaluate,
-    free_variables,
 )
 from nsra.lowering import apply_necessity, desugar_implication, expand_membership, lower
 from nsra.metrics import compare, halstead_nsra, halstead_ql, nsra_terms
@@ -37,6 +33,7 @@ from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql
 from nsra.registry import builtin_crypto_profile
 from conftest import golden_text
+from truth_table import assignments, atoms, evaluate, free_variables
 
 REGISTRY = builtin_crypto_profile()
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nsra
 from nsra.cli import run
 from nsra.qlgen import normalize_ql
 from conftest import GOLDEN, QL_PREAMBLES, golden_text
@@ -18,6 +23,15 @@ def workdir(tmp_path, monkeypatch):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this checkout's ``nsra``."""
+    src = str(Path(nsra.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("NSRA_PROFILE", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_compile_to_file_and_check(workdir, capsys):
@@ -201,6 +215,8 @@ def test_check_mismatch_exits_one(workdir, capsys):
     assert run(["check", query, "--golden", golden]) == 1
     err = capsys.readouterr().err
     assert "does not match" in err
+    assert f"--- {golden}" in err.splitlines()
+    assert f"+++ {query}" in err.splitlines()
 
 
 def test_metrics_text_output(capsys):
@@ -236,3 +252,21 @@ def test_missing_input_reports_error(workdir, capsys):
     missing = str(workdir / "absent.nsra")
     assert run(["compile", missing, "-o", str(workdir / "x.ql")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_import_leaves_rare_modules_unloaded():
+    probe = "import sys, nsra.cli; print(sorted({'logging', 'difflib'} & set(sys.modules)))"
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_compile_warns_about_a_type_without_alias(workdir):
+    query = write(
+        workdir / "q.nsra",
+        'An object of Cipher invokes init. The type of the second argument of init is "SecretKeySpec".',
+    )
+    proc = fresh_python("-m", "nsra.cli", "compile", query)
+    assert proc.returncode == 0, proc.stderr
+    assert 'getType().toString() = "SecretKeySpec"' in proc.stdout
+    assert "no qualified-name alias for type 'SecretKeySpec'; using it as written" in proc.stderr

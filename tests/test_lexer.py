@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsra.errors import IllegalCharacter, SourceError, UnterminatedString
-from nsra.lexer import TokenKind, normalize, tokenize
+from nsra.errors import IllegalCharacter, SourceError, Span, UnterminatedString
+from nsra.lexer import Token, TokenKind, normalize, tokenize
 
 
 def kinds(tokens):
@@ -173,3 +173,20 @@ def test_normalized_spans_point_into_source():
     source = "It is false that getInstance's first argument is \"RSA\"."
     for tok in normalize(tokenize(source)):
         assert 0 <= tok.span.start < tok.span.end <= len(source)
+
+
+def test_span_and_token_compare_by_type_and_fields():
+    span = Span(start=1, end=2)
+    token = Token(kind=TokenKind.WORD, text="of", span=span)
+    assert span == Span(1, 2) and hash(span) == hash(Span(1, 2))
+    assert token == Token(TokenKind.WORD, "of", Span(1, 2))
+    assert {token: "of"}[Token(TokenKind.WORD, "of", Span(1, 2))] == "of"
+    assert token != span and span != token
+    assert repr(Span(1, 2)) == "Span(start=1, end=2)"
+    with pytest.raises(AttributeError):
+        span.extra = 0
+
+
+def test_backwards_span_rejected():
+    with pytest.raises(ValueError, match="backwards span: 3..1"):
+        Span(3, 1)

@@ -14,12 +14,10 @@ from nsra.ir import (
     Not,
     Or,
     Var,
-    assignments,
-    atoms,
-    evaluate,
     simplify,
 )
 from nsra.lowering import apply_necessity, desugar_implication, expand_membership
+from truth_table import assignments, atoms, evaluate
 
 _ATOMS = [Eq(Var(f"a{i}"), Lit(i)) for i in range(10)]
 

@@ -19,9 +19,6 @@ from nsra.ir import (
     Or,
     TRUE,
     Var,
-    assignments,
-    atoms,
-    evaluate,
     simplify,
 )
 from nsra.lowering import (
@@ -34,6 +31,7 @@ from nsra.lowering import (
 from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql, render
 from conftest import golden_text
+from truth_table import assignments, atoms, evaluate
 
 
 def lower_text(text: str, registry):

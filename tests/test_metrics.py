@@ -112,7 +112,7 @@ def test_derived_measures_match_formulas():
 def test_invalid_counts_rejected():
     with pytest.raises(ValueError):
         HalsteadCounts(1, 0, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative Halstead count"):
         HalsteadCounts(-1, 1, 1, 1)
 
 
@@ -212,3 +212,9 @@ def test_row_to_dict_round_trips_fields():
     assert data["length_nsra"] == 20
     assert data["length_ql"] == 80
     assert math.isclose(data["length_reduction_pct"], 75.0)
+
+
+def test_counts_compare_by_fields():
+    counts = HalsteadCounts(distinct_operators=2, distinct_operands=1, total_operators=3, total_operands=1)
+    assert counts == HalsteadCounts(2, 1, 3, 1) and hash(counts) == hash(HalsteadCounts(2, 1, 3, 1))
+    assert counts != HalsteadCounts(1, 2, 3, 1)

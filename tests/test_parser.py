@@ -19,6 +19,7 @@ from nsra.syntax import (
     OrderingPattern,
     OrStmt,
     Prefixed,
+    QueryAst,
     SignaturePattern,
     TypeAssumption,
     query_to_text,
@@ -326,3 +327,25 @@ def test_round_trip_on_task_queries(golden_dir):
         text = (golden_dir / f"{name}.nsra").read_text(encoding="utf-8")
         first = parse_text(text)
         assert parse_text(query_to_text(first)) == first
+
+
+def test_nodes_compare_by_type_and_fields():
+    stmt = InvocationPattern("Cipher", "init")
+    assert Literal("x") != Ident("x")
+    assert AndStmt((stmt,)) != OrStmt((stmt,))
+    assert AndStmt((stmt,)) == AndStmt((InvocationPattern("Cipher", "init", True),))
+    assert hash(Prefixed("type", None, Ident("k"))) == hash(Prefixed("type", None, Ident("k")))
+    assert {Literal("x"): 1, Ident("x"): 2}[Ident("x")] == 2
+    assert OrderingPattern(before="init", after="doFinal", direction="follows") == OrderingPattern(
+        "init", "doFinal", "follows"
+    )
+    assert repr(Prefixed("argument", 2, Ident("init"))) == (
+        "Prefixed(attribute='argument', ordinal=2, inner=Ident(name='init'))"
+    )
+
+
+def test_empty_signature_and_empty_query_rejected():
+    with pytest.raises(ValueError, match="at least one type name"):
+        SignaturePattern("m", ())
+    with pytest.raises(ValueError, match="at least one statement"):
+        QueryAst(())

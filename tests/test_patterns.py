@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from nsra.ir import And, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var, free_variables
+from nsra.ir import And, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var
 from nsra.lowering import lower
 from nsra.parser import parse_text
 from nsra.patterns import lower_invocation, lower_ordering, lower_signature
+from truth_table import free_variables
 
 
 def test_positive_invocation(registry):

@@ -11,6 +11,8 @@ from nsra.errors import (
 )
 from nsra.registry import (
     ORDINAL_SLOT,
+    AttributeRule,
+    CallStep,
     Registry,
     builtin_crypto_profile,
     load_profile,
@@ -123,6 +125,18 @@ def test_attribute_words_are_case_insensitive():
 def test_double_ordinal_slot_rejected():
     with pytest.raises(BadTemplate):
         load_profile("bad = getArgument(@ordinal).getOther(@ordinal)")
+
+
+def test_rule_without_steps_rejected():
+    with pytest.raises(BadTemplate, match="template has no calls"):
+        AttributeRule("x", (), "string")
+
+
+def test_rules_compare_by_fields():
+    rule = AttributeRule(word="name", steps=(CallStep(name="getName"),), result_kind="string")
+    assert rule == lookup_attribute("name", builtin_crypto_profile())
+    assert hash(rule) == hash(AttributeRule("name", (CallStep("getName", ()),), "string"))
+    assert CallStep("getName") != AttributeRule("getName", (CallStep("getName"),), "string")
 
 
 def test_malformed_line_rejected():
