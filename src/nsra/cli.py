@@ -50,11 +50,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Diagnostic(Exception):
+    """A failure already formatted for stderr; ``run`` prints it and exits 1."""
+
+
 def _load_registry(profile_path: str | None) -> Registry:
     path = profile_path or os.environ.get(PROFILE_ENV)
     if not path:
         return builtin_crypto_profile()
-    return load_profile(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return load_profile(text)
+    except OSError as err:
+        raise _Diagnostic(f"error: {err}") from err
+    except SourceError as err:
+        raise _Diagnostic(format_diagnostic(path, text, err) if err.span else f"error: {err}") from err
 
 
 def _compile_file(path: str, registry: Registry, emit: str, header: str | None) -> str:
@@ -71,20 +81,11 @@ def _compile_file(path: str, registry: Registry, emit: str, header: str | None) 
     return out
 
 
-class _Diagnostic(Exception):
-    pass
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
     if args.output and len(args.inputs) > 1:
         print("error: -o/--output needs exactly one input file", file=sys.stderr)
         return 2
-    try:
-        registry = _load_registry(args.profile)
-    except (SourceError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
+    registry = _load_registry(args.profile)
     failures = 0
     summary: list[str] = []
     for path in args.inputs:
@@ -119,7 +120,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         registry = _load_registry(args.profile)
         text = Path(args.input).read_text(encoding="utf-8")
         ql_text = Path(args.ql).read_text(encoding="utf-8")
-    except (SourceError, OSError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
@@ -149,10 +150,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         registry = _load_registry(args.profile)
         compiled = _compile_file(args.input, registry, "ql", args.header)
         golden = Path(args.golden).read_text(encoding="utf-8")
-    except _Diagnostic as diag:
-        print(diag, file=sys.stderr)
-        return 1
-    except (SourceError, OSError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     try:
@@ -188,11 +186,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
-    if args.subcommand == "compile":
-        return _cmd_compile(args)
-    if args.subcommand == "metrics":
-        return _cmd_metrics(args)
-    return _cmd_check(args)
+    command = {"compile": _cmd_compile, "metrics": _cmd_metrics, "check": _cmd_check}[args.subcommand]
+    try:
+        return command(args)
+    except _Diagnostic as diag:
+        print(diag, file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -3,6 +3,11 @@ value classes, shared across the compiler."""
 
 from __future__ import annotations
 
+import sys
+
+# What every reader says of an integer literal too long for ``int`` to read.
+TOO_LONG_INTEGER = f"integer literal of more than {sys.get_int_max_str_digits()} digits"
+
 
 class Record:
     """Base of the compiler's value classes.  A subclass lists its fields in
@@ -119,8 +124,9 @@ class DuplicateDeclaration(SourceError):
 
 
 class ConfigParseError(SourceError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    # The message names the line, unless a span points into the profile text.
+    def __init__(self, message: str, line: int, span: Span | None = None):
+        super().__init__(message if span else f"line {line}: {message}", span)
         self.line = line
 
 

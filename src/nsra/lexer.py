@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum, auto
 
-from .errors import IllegalCharacter, Record, SourceError, Span, UnterminatedString
+from .errors import TOO_LONG_INTEGER, IllegalCharacter, Record, SourceError, Span, UnterminatedString
 
 
 class TokenKind(Enum):
@@ -36,6 +36,12 @@ class Token(Record):
 
     def lowered(self) -> str:
         return self.text.lower()
+
+    def int_value(self) -> int:  # of an INT token; one too long for ``int`` is an error at it
+        try:
+            return int(self.text)
+        except ValueError:
+            raise SourceError(TOO_LONG_INTEGER, self.span) from None
 
 
 # Ordinal adjectives admitted by the grammar, in argument-position order.

@@ -21,6 +21,7 @@ them; identifiers and literals are distinct case-sensitively.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Record
@@ -92,7 +93,7 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
         if tok.kind is TokenKind.STRING:
             terms.append(("str", tok.text))
         elif tok.kind is TokenKind.INT:
-            terms.append(("int", int(tok.text)))
+            terms.append(("int", tok.int_value()))
         elif tok.kind is TokenKind.IDENT and tok.lowered() not in registry.rules:
             terms.append(("id", tok.text))
         elif tok.kind in (TokenKind.WORD, TokenKind.ORDINAL, TokenKind.IDENT):
@@ -130,30 +131,29 @@ _QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists
 
 
 def halstead_ql(ql_text: str) -> HalsteadCounts:
-    """Counts for CodeQL text (see module docstring for the convention)."""
+    """Counts for CodeQL text (see module docstring for the convention).
+
+    A token is its source text, so a string keeps its quotes and is never
+    spelled like an identifier; each distinct token is classified once."""
     reader = QlReader(ql_text)
-    tokens = reader.tokens
-    operators: list[tuple[str, object]] = []
-    operands: list[tuple[str, object]] = []
-    for i in range(reader.pos, len(tokens)):
-        tok = tokens[i]
-        if tok.kind == "punct":
-            operators.append(("op", tok.text))
-        elif tok.kind == "string":
-            operands.append(("str", tok.text))
-        elif tok.kind == "int":
-            operands.append(("int", int(tok.text)))
-        elif tok.text in _QL_KEYWORDS:
-            operators.append(("op", tok.text))
-        else:
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-                operators.append(("op", tok.text))  # called method name
-            else:
-                operands.append(("id", tok.text))
-    n1, big_n1 = _tally(operators)
-    n2, big_n2 = _tally(operands)
-    return HalsteadCounts(n1, n2, big_n1, big_n2)
+    tokens = reader.tokens[reader.pos :]  # the last is the reader's end sentinel
+    calls = Counter(name for name, nxt in zip(tokens, tokens[1:]) if nxt == "(")
+    operators: dict[str, int] = {}
+    operands: dict[object, int] = {}
+    for tok, uses in Counter(tokens[:-1]).items():
+        if tok[0] == '"':
+            operands[tok] = uses
+        elif tok[0].isdecimal():
+            value = int(tok)
+            operands[value] = operands.get(value, 0) + uses
+        elif tok in _QL_KEYWORDS or not (tok[0].isalpha() or tok[0] == "_"):
+            operators[tok] = uses
+        else:  # an identifier: an operator where it names a called method
+            if calls[tok]:
+                operators[tok] = calls[tok]
+            if uses > calls[tok]:
+                operands[tok] = uses - calls[tok]
+    return HalsteadCounts(len(operators), len(operands), sum(operators.values()), sum(operands.values()))
 
 
 @dataclass(frozen=True)

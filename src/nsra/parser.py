@@ -287,7 +287,7 @@ def _literal(cur: _Cursor) -> Literal:
         return Literal(tok.text)
     if tok.kind is TokenKind.INT:
         cur.take()
-        return Literal(int(tok.text))
+        return Literal(tok.int_value())
     raise cur.error("a string or integer literal")
 
 

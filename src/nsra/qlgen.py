@@ -3,13 +3,14 @@ by golden tests.
 
 ``render`` turns a QueryIR into query text with minimal parenthesization
 (plus parentheses around every negation operand and existential body).
-``lex_ql`` and ``QlReader`` read QL text: comments are skipped, leading
-``import`` lines are read apart from the query, and the query must be in
-the subset the renderer emits; anything else is a ``QlLexError`` at its
-position.  ``normalize_ql`` re-reads query text and re-renders it one clause
-per line, so texts differing only in whitespace, comments or redundant
-grouping normalize to identical bytes.  Token order is preserved; nothing
-is sorted.
+``lex_ql`` and ``QlReader`` read QL text: a token is its source text,
+comments are skipped, leading ``import`` lines are read apart from the
+query, and the query must be in the subset the renderer emits, one comma
+between list items; anything else, an integer too long for ``int``
+included, is a ``QlLexError`` at its position.  ``normalize_ql`` re-reads
+query text and re-renders it one clause per line, so texts differing only
+in whitespace, comments or redundant grouping normalize to identical bytes.
+Token order is preserved; nothing is sorted.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import QlLexError, Span
+from .errors import TOO_LONG_INTEGER, QlLexError, Span
 from .ir import (
     And,
     BoolExpr,
@@ -160,67 +161,76 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
 
 # --- QL token stream ---------------------------------------------------------
 
-# One alternative per token kind, tried in order, as in the "Writing a
-# Tokenizer" recipe of the ``re`` docs.  Whitespace and the two comment forms
-# of the QL language reference's "Lexical syntax" (QLDoc is a ``/** */``
-# comment) are one skip group.  ``word`` takes identifiers that start outside
-# ASCII; ``lex_ql`` keeps those that start with a letter.
-_QL_SCANNER = re.compile(
-    r"""
-      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
-    | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
-    | (?P<punct>[.,()\[\]|=<])
-    | (?P<int>\d+)
-    | (?P<ident>[A-Za-z_]\w*)
-    | (?P<word>[^\W\d]\w*)
-    | (?P<other>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-
-class QlToken:
-    """One QL token: ``kind`` is ident, int, string or punct; ``text`` is, for
-    a string, the content between the quotes, escapes intact; ``start`` is
-    the offset of its first character.  A slotted class rather than a
-    dataclass, since lexing a file makes one per token."""
-
-    __slots__ = ("kind", "text", "start")
-
-    def __init__(self, kind: str, text: str, start: int):
-        self.kind, self.text, self.start = kind, text, start
-
-
-def _lex_error(text: str, start: int) -> QlLexError:
-    if text[start] == '"':
-        return QlLexError("unterminated string literal", Span(start, len(text)))
-    if text.startswith("/*", start):
-        return QlLexError("unterminated comment", Span(start, len(text)))
-    return QlLexError(f"unexpected character {text[start]!r}", Span(start, start + 1))
-
-
-def lex_ql(text: str) -> list[QlToken]:
-    tokens: list[QlToken] = []
-    for m in _QL_SCANNER.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        value, start = m[kind], m.start()
-        if kind == "word" and value[0].isalpha():
-            kind = "ident"
-        elif kind in ("word", "other"):
-            raise _lex_error(text, start)
-        tokens.append(QlToken(kind, value, start))
-    return tokens
-
-
-def _unescape(raw: str) -> str:
-    return re.sub(r"\\(.)", r"\1", raw, flags=re.DOTALL)
-
+# A QL token is its source text: a string literal keeps its quotes, so its
+# first character tells its kind, and no two kinds share a spelling.  Each
+# match is a skip prefix, then one token.  The prefix takes whitespace and the
+# two comment forms of the QL language reference's "Lexical syntax" (QLDoc is
+# a ``/** */`` comment).  The token is a string literal, a decimal integer, a
+# word, or what ``lex_ql`` rejects: an unterminated comment, taken to the end
+# of the text so that the scan stays linear, or any other single character.
+# The token group is optional, so a match never fails and never backtracks
+# into a comment; it is empty only in the last match or two, at the end of
+# the text.
+_QL_TOKEN = re.compile(r'(?:\s+|//[^\n]*|/\*.*?\*/)*("[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d]\w*|/\*.*|\S)?', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # Inside string literals, a lone space between identifier-ish capitals is a
 # lost underscore (API constants never contain spaces).
 _UNDERSCORE_FIX = re.compile(r"(?<=[A-Z0-9_]) (?=[A-Z0-9_])")
+
+
+def _restore_underscores(tok: str) -> str:
+    return _UNDERSCORE_FIX.sub("_", tok) if " " in tok else tok
+
+
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _is_value(tok: str) -> bool:  # a select item: an identifier or an integer
+    return _is_ident(tok) or tok[:1].isdecimal()
+
+
+def _is_literal(tok: str) -> bool:  # a call argument: a string or an integer
+    return tok[:1] == '"' or tok[:1].isdecimal()
+
+
+def _lexes(tok: str) -> bool:
+    """False for what the scan takes but QL has no token for: a lone quote,
+    a stray character, an integer too long for ``int``."""
+    if tok[0].isdecimal():
+        try:
+            return int(tok) >= 0  # true once ``int`` reads the digits
+        except ValueError:
+            return False
+    return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in ".,()[]|=<"
+
+
+def _token_span(text: str, index: int) -> Span:
+    """Token ``index``, scanned again; past the last token, the end of the text."""
+    for i, m in enumerate(_QL_TOKEN.finditer(text)):
+        if i == index and m.start(1) >= 0:
+            return Span(*m.span(1))
+    return Span(len(text), len(text))
+
+
+def lex_ql(text: str) -> list[str]:
+    """The QL tokens of ``text``, each its source text; comments are skipped."""
+    tokens = _QL_TOKEN.findall(text)
+    while tokens and not tokens[-1]:  # the empty matches at the end of the text
+        tokens.pop()
+    bad = [tok for tok in set(tokens) if not _lexes(tok)]
+    if not bad:
+        return tokens
+    span = _token_span(text, min(map(tokens.index, bad)))
+    start, char = span.start, text[span.start]
+    if char == '"':
+        raise QlLexError("unterminated string literal", Span(start, len(text)))
+    if text.startswith("/*", start):
+        raise QlLexError("unterminated comment", Span(start, len(text)))
+    if char.isdecimal():
+        raise QlLexError(TOO_LONG_INTEGER, span)
+    raise QlLexError(f"unexpected character {char!r}", Span(start, start + 1))
 
 
 class QlReader:
@@ -229,82 +239,80 @@ class QlReader:
 
     Constructing a reader lexes the text and reads the import lines:
     ``imports`` holds their dotted names in order, and ``pos`` is the index
-    in ``tokens`` of the first token after them.
+    in ``tokens`` of the first token after them.  ``tokens`` ends with the
+    empty string, a sentinel equal to no token, so the reader compares
+    ``tokens[pos]`` with no bounds check.
     """
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = lex_ql(text)
-        self.end = len(text)
+        self.tokens.append("")
         self.pos = 0
         self.imports: list[str] = []
-        while self.accept("ident", "import"):
-            name = self.expect("ident").text
-            while self.accept("punct", "."):
-                name += "." + self.expect("ident").text
+        while self.tokens[self.pos] == "import":
+            self.pos += 1
+            name = self.expect()
+            while self.tokens[self.pos] == ".":
+                self.pos += 1
+                name += "." + self.expect()
             self.imports.append(name)
 
-    def peek(self) -> QlToken | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def literal(self, tok: str) -> str:
+        """A literal token as read; ``normalize_ql`` replaces this method."""
+        return tok
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+    def error(self, message: str, index: int | None = None) -> QlLexError:
+        """An error at token ``index``, by default the next; at the end of the text for the sentinel."""
+        return QlLexError(message, _token_span(self.text, self.pos if index is None else index))
 
-    def accept(self, kind: str, text: str) -> bool:
-        """Take the next token if it is ``text`` of ``kind``."""
-        if self.at(kind, text):
-            self.pos += 1
-            return True
-        return False
+    def shown(self, tok: str) -> str:  # as error messages quote a token: a string by its content
+        return self.literal(tok)[1:-1] if tok[:1] == '"' else tok or "end"
 
-    def error(self, message: str, tok: QlToken | None = None) -> QlLexError:
-        """An error at ``tok``, by default the next token, or at the end of
-        the text when no token is left."""
-        tok = tok or self.peek()
-        if tok is None:
-            return QlLexError(message, Span(self.end, self.end))
-        return QlLexError(message, Span(tok.start, tok.start + len(tok.text)))
-
-    def take(self) -> QlToken:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of query text")
+    def expect(self, text: str | None = None) -> str:
+        """Take the next token, which must be ``text``, by default any identifier."""
+        tok = self.tokens[self.pos]
+        if tok != text if text else not _is_ident(tok):
+            raise self.error(f"expected {text or 'ident'}, found {self.shown(tok)!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> QlToken:
-        if not self.at(kind, text):
-            got = self.peek()
-            raise self.error(f"expected {text or kind}, found {got.text if got else 'end'!r}")
-        return self.take()
+    def read_list(self, is_item, where: str, close: str) -> list[str]:
+        """Items with one comma between each two, up to ``close``, not taken."""
+        items: list[str] = []
+        while is_item(self.tokens[self.pos]):
+            items.append(self.tokens[self.pos])
+            self.pos += 1
+            if self.tokens[self.pos] == close:
+                return items
+            if self.tokens[self.pos] != ",":
+                break
+            self.pos += 1
+        tok = self.tokens[self.pos]
+        raise self.error(f"unexpected {self.shown(tok)!r} in {where}" if tok else "unexpected end of query text")
 
     # clause structure ------------------------------------------------------
 
     def read_query(self) -> QueryIR:
+        toks = self.tokens
         decls: list[Decl] = []
         condition: BoolExpr = TrueExpr()
-        if self.accept("ident", "from"):
+        if toks[self.pos] == "from":
+            self.pos += 1
             while True:
-                ql_type = self.expect("ident").text
-                decls.append(Decl(self.expect("ident").text, ql_type))
-                if not self.accept("punct", ","):
+                ql_type = self.expect()
+                decls.append(Decl(self.expect(), ql_type))
+                if toks[self.pos] != ",":
                     break
-        if self.accept("ident", "where"):
+                self.pos += 1
+        if toks[self.pos] == "where":
+            self.pos += 1
             condition = self.read_or()
-        self.expect("ident", "select")
-        selects: list[str] = []
-        while self.peek() is not None:
-            tok = self.take()
-            if tok.kind == "punct" and tok.text == ",":
-                continue
-            if tok.kind not in ("ident", "int"):
-                raise self.error(f"unexpected {tok.text!r} in select list", tok)
-            selects.append(tok.text)
-        if not selects:
+        self.expect("select")
+        if not toks[self.pos]:
             raise self.error("empty select list")
-        if selects == ["1"]:
-            selects = []
-        return QueryIR(tuple(decls), condition, tuple(selects))
+        selects = self.read_list(_is_value, "select list", "")
+        return QueryIR(tuple(decls), condition, () if selects == ["1"] else tuple(selects))
 
     # boolean structure -----------------------------------------------------
 
@@ -313,84 +321,71 @@ class QlReader:
         while True:
             child = self.read_and()
             items.extend(child.items) if isinstance(child, Or) else items.append(child)
-            if not self.accept("ident", "or"):
+            if self.tokens[self.pos] != "or":
                 return items[0] if len(items) == 1 else Or(tuple(items))
+            self.pos += 1
 
     def read_and(self) -> BoolExpr:
         items: list[BoolExpr] = []
         while True:
             child = self.read_unary()
             items.extend(child.items) if isinstance(child, And) else items.append(child)
-            if not self.accept("ident", "and"):
+            if self.tokens[self.pos] != "and":
                 return items[0] if len(items) == 1 else And(tuple(items))
+            self.pos += 1
 
     def read_unary(self) -> BoolExpr:
-        if self.accept("ident", "not"):
-            self.expect("punct", "(")
+        tok = self.tokens[self.pos]
+        if tok not in ("not", "exists", "("):
+            return self.read_comparison()
+        self.pos += 1
+        if tok == "(":
             inner = self.read_or()
-            self.expect("punct", ")")
-            return Not(inner)
-        if self.accept("ident", "exists"):
-            self.expect("punct", "(")
-            ql_type = self.expect("ident").text
-            decl = Decl(self.expect("ident").text, ql_type)
-            self.expect("punct", "|")
-            body = self.read_or()
-            self.expect("punct", ")")
-            return Exists(decl, body)
-        if self.accept("punct", "("):
-            inner = self.read_or()
-            self.expect("punct", ")")
-            return inner
-        return self.read_comparison()
+        elif tok == "not":
+            self.expect("(")
+            inner = Not(self.read_or())
+        else:
+            self.expect("(")
+            ql_type = self.expect()
+            decl = Decl(self.expect(), ql_type)
+            self.expect("|")
+            inner = Exists(decl, self.read_or())
+        self.expect(")")
+        return inner
 
     def read_comparison(self) -> BoolExpr:
         left = self.read_value()
-        if self.accept("punct", "="):
-            return Eq(left, self.read_value())
-        if self.accept("punct", "<"):
-            return Lt(left, self.read_value())
-        raise self.error("expected '=' or '<' in comparison")
+        op = self.tokens[self.pos]
+        if op not in ("=", "<"):
+            raise self.error("expected '=' or '<' in comparison")
+        self.pos += 1
+        return Eq(left, self.read_value()) if op == "=" else Lt(left, self.read_value())
 
     def read_value(self) -> QlExpr:
-        if self.accept("ident", "count"):
-            self.expect("punct", "(")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "count":
+            self.expect("(")
             inner = self.read_value()
-            self.expect("punct", ")")
+            self.expect(")")
             return Count(inner)
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected a value")
-        if tok.kind == "string":
-            self.take()
-            return Lit(_unescape(tok.text))
-        if tok.kind == "int":
-            self.take()
-            return Lit(int(tok.text))
-        if tok.kind == "ident":
-            self.take()
-            base: QlExpr = Var(tok.text)
-            steps: list[str] = []
-            while self.accept("punct", "."):
-                name = self.expect("ident").text
-                self.expect("punct", "(")
-                args: list[str] = []
-                while not self.at("punct", ")"):
-                    arg = self.take()
-                    if arg.kind == "string":
-                        args.append(f'"{arg.text}"')
-                    elif arg.kind == "int":
-                        args.append(arg.text)
-                    elif arg.kind == "punct" and arg.text == ",":
-                        continue
-                    else:
-                        raise self.error(f"unexpected {arg.text!r} in call arguments", arg)
-                self.expect("punct", ")")
-                steps.append(f"{name}({', '.join(args)})")
-            if steps:
-                return Chain(base, tuple(steps))
-            return base
-        raise self.error(f"unexpected {tok.text!r} in value position")
+        if tok[:1] == '"':
+            body = self.literal(tok)[1:-1]
+            return Lit(_ESCAPE.sub(r"\1", body) if "\\" in body else body)
+        if tok[:1].isdecimal():
+            return Lit(int(tok))
+        if not _is_ident(tok):
+            message = f"unexpected {self.shown(tok)!r} in value position" if tok else "expected a value"
+            raise self.error(message, self.pos - 1)
+        steps: list[str] = []
+        while self.tokens[self.pos] == ".":
+            self.pos += 1
+            name = self.expect()
+            self.expect("(")
+            args = self.read_list(_is_literal, "call arguments", ")") if self.tokens[self.pos] != ")" else []
+            self.pos += 1
+            steps.append(f"{name}({', '.join(map(self.literal, args))})")
+        return Chain(Var(tok), tuple(steps)) if steps else Var(tok)
 
 
 def read_query_text(text: str) -> QueryIR:
@@ -404,13 +399,12 @@ def normalize_ql(text: str) -> str:
 
     Reads the text and writes its import lines, one per line and in order,
     then the query re-rendered one clause per line with canonical spacing
-    and minimal parentheses.  Comments are skipped, so they are not
-    compared.  Text that does not read raises ``QlLexError`` at its
-    position.
+    and minimal parentheses.  Inside string literals, a space between
+    capitals or digits reads as the underscore it lost.  Comments are
+    skipped, so they are not compared.  Text that does not read raises
+    ``QlLexError`` at its position.
     """
     reader = QlReader(text)
-    for tok in reader.tokens:
-        if tok.kind == "string":
-            tok.text = _UNDERSCORE_FIX.sub("_", tok.text)
+    reader.literal = _restore_underscores  # from here on, after the import lines
     ir = reader.read_query()
     return "".join(f"import {name}\n" for name in reader.imports) + render(ir, line_width=math.inf)

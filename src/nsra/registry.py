@@ -25,7 +25,7 @@ import functools
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BadTemplate, ConfigParseError, DuplicateAttribute, Record, UnknownAttribute
+from .errors import TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
 from .qlgen import escape_string
 
 ORDINAL_SLOT = "@ordinal"
@@ -153,8 +153,9 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
     type_names = dict(base.ql_type_names)
     seen_words: set[str] = set()
     section = "rules"
-
-    for line_no, raw in enumerate(config_text.splitlines(), start=1):
+    end = 0
+    for line_no, raw in enumerate(config_text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(raw)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -177,13 +178,14 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
             if key in seen_words:
                 raise DuplicateAttribute(key, line_no)
             seen_words.add(key)
-            steps = _parse_template(key, value, line_no)
+            steps = _parse_template(key, value, line_no, start + raw.index(value, raw.index("=") + 1))
             kind = "string" if steps[-1].name in _STRING_RESULTS else "object"
             rules[key] = AttributeRule(key, steps, kind)
     return Registry(rules, aliases, type_names)
 
 
-def _parse_template(word: str, text: str, line_no: int) -> tuple[CallStep, ...]:
+def _parse_template(word: str, text: str, line_no: int, at: int) -> tuple[CallStep, ...]:
+    # ``at`` is the offset of ``text`` in the profile.
     steps: list[CallStep] = []
     i = 0
     n = len(text)
@@ -196,7 +198,7 @@ def _parse_template(word: str, text: str, line_no: int) -> tuple[CallStep, ...]:
             raise ConfigParseError(f"expected a call name in template for {word!r}", line_no)
         if j >= n or text[j] != "(":
             raise ConfigParseError(f"call {name!r} needs parentheses", line_no)
-        args, j = _parse_args(word, text, j + 1, line_no)
+        args, j = _parse_args(word, text, j + 1, line_no, at)
         steps.append(CallStep(name, args))
         i = j
         if i < n:
@@ -208,7 +210,7 @@ def _parse_template(word: str, text: str, line_no: int) -> tuple[CallStep, ...]:
     return tuple(steps)
 
 
-def _parse_args(word: str, text: str, i: int, line_no: int) -> tuple[tuple[object, ...], int]:
+def _parse_args(word: str, text: str, i: int, line_no: int, at: int) -> tuple[tuple[object, ...], int]:
     args: list[object] = []
     n = len(text)
     while True:
@@ -237,14 +239,17 @@ def _parse_args(word: str, text: str, i: int, line_no: int) -> tuple[tuple[objec
                 raise ConfigParseError("unknown @ marker (only @ordinal)", line_no)
             args.append(ORDINAL_SLOT)
             i += len(ORDINAL_SLOT)
-        elif text[i].isdigit() or text[i] == "-":
+        elif text[i].isdecimal() or text[i] == "-" and text[i + 1 : i + 2].isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            args.append(int(text[i:j]))
+            try:
+                args.append(int(text[i:j]))
+            except ValueError:
+                raise ConfigParseError(TOO_LONG_INTEGER, line_no, Span(at + i, at + j)) from None
             i = j
         else:
-            raise ConfigParseError(f"unexpected {text[i]!r} in template arguments", line_no)
+            raise ConfigParseError(f"unexpected {text[i]!r} in template arguments", line_no, Span(at + i, at + i + 1))
         while i < n and text[i] == " ":
             i += 1
         if i < n and text[i] == ",":

@@ -67,6 +67,37 @@ def test_compile_rejects_non_decimal_digit_at_its_position(workdir, capsys):
     assert "Traceback" not in err
 
 
+LONG_INT = "1" * 5000  # past the 4300 digits ``int`` reads from text
+
+
+def test_over_long_integer_is_an_error_at_it(workdir, capsys):
+    query = write(workdir / "q.nsra", f"An object of Cipher invokes init.\nThe first argument of init is {LONG_INT}.\n")
+    golden = write(workdir / "g.ql", f"from MethodAccess init\nwhere init.getArgument(0) = {LONG_INT}\nselect init\n")
+    example = str(GOLDEN / "example_invoke.nsra")
+    for argv, where in [
+        (["compile", query], f"{query}:2:31"),
+        (["metrics", query, "--ql", str(GOLDEN / "example_invoke.ql")], f"{query}:2:31"),
+        (["metrics", example, "--ql", golden], f"{golden}:2:29"),
+        (["check", example, "--golden", golden], f"{golden}:2:29"),
+    ]:
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"{where}: error: integer literal of more than 4300 digits\n", argv
+
+
+@pytest.mark.parametrize(
+    "argument, message",
+    [("-", "unexpected '-' in template arguments"), ("²", "unexpected '²' in template arguments"),
+     (LONG_INT, "integer literal of more than 4300 digits")],
+)
+def test_profile_integer_errors_point_at_the_literal(workdir, capsys, argument, message):
+    profile = write(workdir / "p.profile", f"# extra\nargument2 =  getArgument({argument})\n")
+    example = str(GOLDEN / "example_invoke.nsra")
+    for argv in (["compile", example], ["check", example, "--golden", example], ["metrics", example, "--ql", example]):
+        assert run([*argv, "--profile", profile]) == 1
+        assert capsys.readouterr().err == f"{profile}:2:26: error: {message}\n"
+
+
 def test_metrics_diagnostic_points_into_the_query(workdir, capsys):
     bad = write(workdir / "bad.nsra", 'An object of Cipher invokes init.\nThe name of init is "x.\n')
     ref = str(GOLDEN / "example_invoke.ql")

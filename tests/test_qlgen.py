@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsra.errors import QlLexError, line_column
@@ -24,7 +24,9 @@ from nsra.ir import (
     Var,
     simplify,
 )
+from nsra.metrics import halstead_ql
 from nsra.qlgen import (
+    _QL_TOKEN,
     lex_ql,
     normalize_ql,
     read_query_text,
@@ -251,11 +253,91 @@ def test_backslash_newline_in_string_reads_as_newline():
 
 
 def test_lex_ql_skips_comments():
-    text = '/** QLDoc\n @kind problem */ from // to the end of the line\nT /* inline */ x'
-    tokens = lex_ql(text)
-    assert [(t.kind, t.text) for t in tokens] == [("ident", "from"), ("ident", "T"), ("ident", "x")]
-    assert [text[t.start : t.start + len(t.text)] for t in tokens] == ["from", "T", "x"]
+    text = '/** QLDoc\n @kind problem */ from // to the end of the line\nT /* inline */ x = "a \\" b" 12'
+    assert lex_ql(text) == ["from", "T", "x", "=", '"a \\" b"', "12"]
     with pytest.raises(QlLexError) as info:
         lex_ql("select x /* never closed")
     assert info.value.message == "unterminated comment"
     assert info.value.span.start == 9
+    with pytest.raises(QlLexError) as info:  # one scan to the end, not one per opener
+        lex_ql("x" + " /* never closed" * 20000)
+    assert info.value.span.start == 2
+
+
+# --- separators, integers, and a reader that never crashes ---------------------
+
+
+@pytest.mark.parametrize(
+    "query, at",
+    [
+        ("from T x, T y\nwhere x.a() = 1\nselect x y", "y"),  # select items need a comma
+        ("from T a, T b\nwhere a.a() = 1\nselect a,,b", ",b"),
+        ("from T a\nwhere a.a() = 1\nselect a,", None),  # the end of the text
+        ('from T x\nwhere x.f("x" "y") = 1\nselect x', '"y"'),  # so do call arguments
+        ("from T x\nwhere x.f(,1) = 1\nselect x", ",1"),
+        ("from T x\nwhere x.f(1,) = 1\nselect x", ") ="),
+    ],
+)
+def test_list_items_take_exactly_one_comma_between(query, at):
+    for read in (normalize_ql, read_query_text):
+        with pytest.raises(QlLexError) as info:
+            read(query)
+        assert info.value.span.start == (len(query) if at is None else query.rindex(at))
+
+
+def test_single_commas_still_read():
+    ir = read_query_text('from T a, T b\nwhere a.f("x", 1) = b.g()\nselect a, b')
+    assert ir.selects == ("a", "b")
+    assert ir.condition == Eq(Chain(Var("a"), ('f("x", 1)',)), Chain(Var("b"), ("g()",)))
+
+
+def test_over_long_integer_is_an_error_at_it():
+    query = "from T x\nwhere x.f(" + "7" * 5000 + ") = 1\nselect x"
+    for read in (lex_ql, normalize_ql, read_query_text, halstead_ql):
+        with pytest.raises(QlLexError) as info:
+            read(query)
+        assert info.value.message == "integer literal of more than 4300 digits"
+        assert (info.value.span.start, info.value.span.end) == (19, 5019)
+
+
+GOLDEN_QUERIES = [lex_ql(golden_text(f"{name}.ql")) for name in ("example_invoke", "task1", "task2", "task3")]
+QL_ALPHABET = (
+    "from", "where", "select", "and", "or", "not", "exists", "count", "import", "x", "T", "getName",
+    "_y", "é", "A B", "1", "07", "٣", "²", "(", ")", ",", ".", "|", "=", "<", "[", "?", "/", "*",
+    "/*", "*/", "//", '"', "\\", " ", "\n",
+)
+
+
+@st.composite
+def _mutated_golden(draw) -> str:
+    """A golden query with tokens deleted, duplicated or swapped, after a preamble."""
+    tokens = list(draw(st.sampled_from(GOLDEN_QUERIES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return draw(st.sampled_from(QL_PREAMBLES)) + draw(st.sampled_from((" ", "\n"))).join(tokens)
+
+
+@given(_mutated_golden() | st.lists(st.sampled_from(QL_ALPHABET), max_size=30).map("".join))
+@example('from T x\nwhere x.f() = "A B"\nselect "A B"')
+@example("where x.f(/* never closed")
+@settings(max_examples=400, deadline=None)
+def test_ql_reader_returns_or_raises_at_a_token(text):
+    """Each reader returns or raises ``QlLexError`` at a token's start or at
+    the end of the text, and what ``normalize_ql`` returns reads back to
+    itself."""
+    starts = {m.start(1) for m in _QL_TOKEN.finditer(text)} | {len(text)}
+    for read in (normalize_ql, read_query_text, halstead_ql):
+        try:
+            out = read(text)
+        except QlLexError as err:
+            assert err.span.start in starts, (read.__name__, err.message, err.span)
+        else:
+            if read is normalize_ql:
+                assert normalize_ql(out) == out
