@@ -64,7 +64,7 @@ def _load_registry(profile_path: str | None) -> Registry:
     except OSError as err:
         raise _Diagnostic(f"error: {err}") from err
     except SourceError as err:
-        raise _Diagnostic(format_diagnostic(path, text, err) if err.span else f"error: {err}") from err
+        raise _Diagnostic(format_diagnostic(path, text, err)) from err
 
 
 def _compile_file(path: str, registry: Registry, emit: str, header: str | None) -> str:

@@ -124,23 +124,15 @@ class DuplicateDeclaration(SourceError):
 
 
 class ConfigParseError(SourceError):
-    # The message names the line, unless a span points into the profile text.
-    def __init__(self, message: str, line: int, span: Span | None = None):
-        super().__init__(message if span else f"line {line}: {message}", span)
-        self.line = line
+    pass
 
 
 class DuplicateAttribute(SourceError):
-    def __init__(self, word: str, line: int):
-        super().__init__(f"line {line}: attribute {word!r} defined twice in one profile")
-        self.word = word
-        self.line = line
+    pass
 
 
 class BadTemplate(SourceError):
-    def __init__(self, word: str, reason: str):
-        super().__init__(f"bad template for attribute {word!r}: {reason}")
-        self.word = word
+    pass
 
 
 class QlLexError(SourceError):

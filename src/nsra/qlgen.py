@@ -266,8 +266,8 @@ class QlReader:
         """An error at token ``index``, by default the next; at the end of the text for the sentinel."""
         return QlLexError(message, _token_span(self.text, self.pos if index is None else index))
 
-    def shown(self, tok: str) -> str:  # as error messages quote a token: a string by its content
-        return self.literal(tok)[1:-1] if tok[:1] == '"' else tok or "end"
+    def shown(self, tok: str) -> str:  # as error messages quote a token: a string by its content as written
+        return tok[1:-1] if tok[:1] == '"' else tok or "end"
 
     def expect(self, text: str | None = None) -> str:
         """Take the next token, which must be ``text``, by default any identifier."""

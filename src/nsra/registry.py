@@ -1,80 +1,61 @@
 """Attribute registry: English attribute words -> CodeQL call-chain templates.
 
-A profile is a line-oriented text file:
-
-    # attribute rules come first, one per line
-    receiver = getReceiverType()
-    algorithm = toString().replaceAll("\\"", "").splitAt("/", 0)
-    argument  = getArgument(@ordinal)
-
-    [aliases]
-    PublicKey = java.security.PublicKey
-
-    [types]
-    variable = Variable
-    method access = MethodAccess
-
-``@ordinal`` marks the slot filled by an ordinal adjective (zero-based at
-render time).  ``#`` starts a comment.  Attribute words are case-folded, as
-the parser reads them.  User rules shadow built-in rules by attribute word.
+A profile (README's "Attribute profiles"; ``_BUILTIN_PROFILE`` below) has
+one ``word = template`` rule per line, then optional ``[aliases]`` and
+``[types]`` sections of ``name = value`` lines.  A template is QL call text,
+read with the QL scanner: ``name(args)`` calls joined by ``.``, each argument
+a string literal, a decimal integer or ``@ordinal``, the slot an ordinal
+adjective fills (zero-based at render time), one comma between two
+arguments.  ``#`` starts a comment outside a string literal.  A rule's word
+is one word of the query language and not an ordinal, case-folded as the
+parser reads it; a ``[types]`` key is one of the parser's type nouns.  User
+rules shadow built-in rules by attribute word.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
-from .qlgen import escape_string
-
-ORDINAL_SLOT = "@ordinal"
+from .lexer import _SCANNER, TokenKind, _classify
+from .parser import _TYPE_NOUNS
+from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, escape_string
 
 # Call names whose result is directly comparable to a string literal.
 _STRING_RESULTS = frozenset({"toString", "getName", "replaceAll", "splitAt"})
 
-
-class CallStep(Record):
-    """One rendered method call: name plus literal args (str or int literals,
-    or ORDINAL_SLOT), with at most one ordinal slot."""
-
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[object, ...] = ()):
-        self.name, self.args = name, args
-
-    def render(self, ordinal_index: int | None = None) -> str:
-        rendered = []
-        for arg in self.args:
-            if arg == ORDINAL_SLOT:
-                if ordinal_index is None:
-                    raise ValueError("ordinal slot left unfilled")
-                rendered.append(str(ordinal_index))
-            elif isinstance(arg, int):
-                rendered.append(str(arg))
-            else:
-                rendered.append(f'"{escape_string(str(arg))}"')
-        return f"{self.name}({', '.join(rendered)})"
+# A profile line up to its comment: ``#`` starts one outside a string literal,
+# and an unterminated string runs to the end of the line.
+_CONTENT = re.compile(r'(?:[^"#\n]+|"(?:[^"\\\n]+|\\.)*"?)*')
 
 
 class AttributeRule(Record):
-    """``result_kind`` is "string" or "object"."""
+    """A word's template, rendered once: ``steps`` are the calls' text, and
+    ``render_steps`` writes the ordinal at ``slot``, a (call index, offset)
+    or None.  ``result_kind`` is "string" or "object"."""
 
-    __slots__ = ("word", "steps", "result_kind")
+    __slots__ = ("word", "steps", "result_kind", "slot")
 
-    def __init__(self, word: str, steps: tuple[CallStep, ...], result_kind: str):
+    def __init__(self, word: str, steps: tuple[str, ...], result_kind: str, slot: tuple[int, int] | None = None):
         if not steps:
-            raise BadTemplate(word, "template has no calls")
-        if sum(1 for s in steps for a in s.args if a == ORDINAL_SLOT) > 1:
-            raise BadTemplate(word, "template names an ordinal slot twice")
-        self.word, self.steps, self.result_kind = word, steps, result_kind
+            raise BadTemplate(f"bad template for attribute {word!r}: template has no calls")
+        self.word, self.steps, self.result_kind, self.slot = word, steps, result_kind, slot
 
     @property
     def has_ordinal_slot(self) -> bool:
-        return any(a == ORDINAL_SLOT for s in self.steps for a in s.args)
+        return self.slot is not None
 
     def render_steps(self, ordinal_index: int | None = None) -> tuple[str, ...]:
-        return tuple(step.render(ordinal_index) for step in self.steps)
+        if self.slot is None:
+            return self.steps
+        if ordinal_index is None:
+            raise ValueError("ordinal slot left unfilled")
+        call, at = self.slot
+        step = self.steps[call]
+        return (*self.steps[:call], f"{step[:at]}{ordinal_index}{step[at:]}", *self.steps[call + 1 :])
 
 
 class Registry(Record):
@@ -142,115 +123,109 @@ def builtin_crypto_profile() -> Registry:
 
 def load_profile(config_text: str, base: Registry | None = None) -> Registry:
     """Parse profile text and overlay it on ``base`` (built-in by default).
-
-    Raises ConfigParseError for malformed lines, DuplicateAttribute when one
-    file defines an attribute twice, BadTemplate for ill-formed templates.
-    """
+    Every error is a ``SourceError`` with a span into ``config_text``."""
     if base is None:
         base = builtin_crypto_profile()
-    rules = dict(base.rules)
+    rules: dict[str, AttributeRule] = {}  # this profile's own, overlaid on ``base`` at the end
     aliases = dict(base.type_aliases)
     type_names = dict(base.ql_type_names)
-    seen_words: set[str] = set()
     section = "rules"
     end = 0
-    for line_no, raw in enumerate(config_text.splitlines(keepends=True), start=1):
+    for raw in config_text.splitlines(keepends=True):
         start, end = end, end + len(raw)
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = _CONTENT.match(raw)[0].strip()
+        if not body:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+        at = start + raw.index(body)  # ``body`` is config_text[at:at + len(body)]
+        if body[0] == "[" and body[-1] == "]":
+            section = body[1:-1].strip().lower()
             if section not in ("rules", "aliases", "types"):
-                raise ConfigParseError(f"unknown section [{section}]", line_no)
+                raise ConfigParseError(f"unknown section [{section}]", Span(at, at + len(body)))
             continue
-        if "=" not in line:
-            raise ConfigParseError("expected 'name = value'", line_no)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise ConfigParseError("expected 'name = value'", line_no)
+        key, eq, value = body.partition("=")
+        key, value = key.rstrip(), value.strip()
+        if not (eq and key and value):
+            raise ConfigParseError("expected 'name = value'", Span(at, at + len(body)))
+        word = key.lower()
         if section == "aliases":
             aliases[key] = value
         elif section == "types":
-            type_names[key.lower()] = value
+            if word not in _TYPE_NOUNS.values():
+                nouns = ", ".join(_TYPE_NOUNS.values())
+                raise ConfigParseError(f"{key!r} is not a type noun: {nouns}", Span(at, at + len(key)))
+            type_names[word] = value
+        elif not _is_word(key):
+            raise ConfigParseError(f"attribute word {key!r} is not one word or is an ordinal", Span(at, at + len(key)))
+        elif word in rules:
+            raise DuplicateAttribute(f"attribute {word!r} defined twice in one profile", Span(at, at + len(key)))
         else:
-            key = key.lower()
-            if key in seen_words:
-                raise DuplicateAttribute(key, line_no)
-            seen_words.add(key)
-            steps = _parse_template(key, value, line_no, start + raw.index(value, raw.index("=") + 1))
-            kind = "string" if steps[-1].name in _STRING_RESULTS else "object"
-            rules[key] = AttributeRule(key, steps, kind)
-    return Registry(rules, aliases, type_names)
+            rules[word] = _read_template(word, config_text, at + len(body) - len(value), at + len(body))
+    return Registry({**base.rules, **rules}, aliases, type_names)
 
 
-def _parse_template(word: str, text: str, line_no: int, at: int) -> tuple[CallStep, ...]:
-    # ``at`` is the offset of ``text`` in the profile.
-    steps: list[CallStep] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        j = i
-        while j < n and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        name = text[i:j]
-        if not name:
-            raise ConfigParseError(f"expected a call name in template for {word!r}", line_no)
-        if j >= n or text[j] != "(":
-            raise ConfigParseError(f"call {name!r} needs parentheses", line_no)
-        args, j = _parse_args(word, text, j + 1, line_no, at)
-        steps.append(CallStep(name, args))
-        i = j
-        if i < n:
-            if text[i] != ".":
-                raise ConfigParseError(f"expected '.' between calls, found {text[i]!r}", line_no)
-            i += 1
-    if not steps:
-        raise BadTemplate(word, "template has no calls")
-    return tuple(steps)
+def _is_word(text: str) -> bool:
+    """True for one word of the query language that is not an ordinal: ``text`` is one token as
+    ``tokenize`` scans and classifies it."""
+    m = _SCANNER.match(text)
+    return m.end() == len(text) and m.lastgroup in ("WORD", "name") and _classify(text) is not TokenKind.ORDINAL
 
 
-def _parse_args(word: str, text: str, i: int, line_no: int, at: int) -> tuple[tuple[object, ...], int]:
-    args: list[object] = []
-    n = len(text)
+def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:
+    """The rule for ``word`` whose template is ``text[start:end]``, read
+    with the QL scanner so that its literals are what ``QlReader`` reads."""
+    tokens = _QL_TOKEN.findall(text, start, end)  # ends with "", the end of the template
+
+    def span(k: int) -> Span:  # of token k, scanned again
+        m = [*_QL_TOKEN.finditer(text, start, end)][k]
+        return Span(m.end() - len(m[1] or ""), m.end())
+
+    if text.count("/", start, end) != "".join(tokens).count("/"):  # the scanner skipped a QL comment
+        for m in _QL_TOKEN.finditer(text, start, end):
+            at = text.find("/", m.start(), m.end() - len(m[1] or ""))  # in the skipped text before the token
+            if at >= 0:
+                raise ConfigParseError("unexpected '/' in template", Span(at, at + 1))
+    steps: list[str] = []
+    slot, i = None, 0
     while True:
-        while i < n and text[i] == " ":
+        name = tokens[i]
+        if not _is_ident(name):
+            raise ConfigParseError(f"expected a call name in template for {word!r}", span(i))
+        if tokens[i + 1] != "(":
+            raise ConfigParseError(f"call {name!r} needs parentheses", span(i + 1))
+        i += 2
+        args: list[str] = []
+        while tokens[i] != ")":
+            if args:  # one comma between two arguments
+                if tokens[i] != ",":
+                    raise ConfigParseError(_arg_error(word, tokens[i]), span(i))
+                i += 1
+            tok = tokens[i]
+            if tok == "@" and tokens[i + 1] == "ordinal":
+                if slot is not None:
+                    raise BadTemplate(f"bad template for attribute {word!r}: ordinal slot named twice", span(i))
+                slot, tok = (len(steps), len(f"{name}({', '.join([*args, ''])}")), ""  # where the ordinal goes
+                i += 1
+            elif tok[:1] == '"' and len(tok) > 1:
+                body = tok[1:-1]
+                tok = '"' + escape_string(_ESCAPE.sub(r"\1", body) if "\\" in body else body) + '"'
+            elif tok[:1].isdecimal():
+                try:
+                    tok = str(int(tok))
+                except ValueError:
+                    raise ConfigParseError(TOO_LONG_INTEGER, span(i)) from None
+            else:
+                raise ConfigParseError(_arg_error(word, tok), span(i))
+            args.append(tok)
             i += 1
-        if i >= n:
-            raise ConfigParseError(f"unterminated argument list for {word!r}", line_no)
-        if text[i] == ")":
-            return tuple(args), i + 1
-        if text[i] == '"':
-            value = []
-            i += 1
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    value.append(text[i + 1])
-                    i += 2
-                else:
-                    value.append(text[i])
-                    i += 1
-            if i >= n:
-                raise ConfigParseError("unterminated string in template", line_no)
-            args.append("".join(value))
-            i += 1
-        elif text[i] == "@":
-            if text[i : i + len(ORDINAL_SLOT)] != ORDINAL_SLOT:
-                raise ConfigParseError("unknown @ marker (only @ordinal)", line_no)
-            args.append(ORDINAL_SLOT)
-            i += len(ORDINAL_SLOT)
-        elif text[i].isdecimal() or text[i] == "-" and text[i + 1 : i + 2].isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            try:
-                args.append(int(text[i:j]))
-            except ValueError:
-                raise ConfigParseError(TOO_LONG_INTEGER, line_no, Span(at + i, at + j)) from None
-            i = j
-        else:
-            raise ConfigParseError(f"unexpected {text[i]!r} in template arguments", line_no, Span(at + i, at + i + 1))
-        while i < n and text[i] == " ":
-            i += 1
-        if i < n and text[i] == ",":
-            i += 1
+        steps.append(f"{name}({', '.join(args)})")
+        if not tokens[i + 1]:
+            return AttributeRule(word, tuple(steps), "string" if name in _STRING_RESULTS else "object", slot)
+        if tokens[i + 1] != ".":
+            raise ConfigParseError(f"expected '.' between calls, found {tokens[i + 1]!r}", span(i + 1))
+        i += 2
+
+
+def _arg_error(word: str, tok: str) -> str:
+    if not tok:
+        return f"unterminated argument list for {word!r}"
+    return "unterminated string in template" if tok == '"' else f"unexpected {tok!r} in template arguments"

@@ -98,6 +98,22 @@ def test_profile_integer_errors_point_at_the_literal(workdir, capsys, argument, 
         assert capsys.readouterr().err == f"{profile}:2:26: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "line, where, message",
+    [
+        ("[rulez]", "2:1", "unknown section [rulez]"),
+        ("receiver getReceiverType()", "2:1", "expected 'name = value'"),
+        ("Name = getOther()", "2:1", "attribute 'name' defined twice in one profile"),
+        ('mode = splitAt("/" 1)', "2:20", "unexpected '1' in template arguments"),
+        ("argument2 = getArgument(1", "2:26", "unterminated argument list for 'argument2'"),
+    ],
+)
+def test_every_profile_error_is_printed_at_file_line_col(workdir, capsys, line, where, message):
+    profile = write(workdir / "p.profile", f"name = getName()  # one\n{line}\n")
+    assert run(["compile", str(GOLDEN / "example_invoke.nsra"), "--profile", profile]) == 1
+    assert capsys.readouterr().err == f"{profile}:{where}: error: {message}\n"
+
+
 def test_metrics_diagnostic_points_into_the_query(workdir, capsys):
     bad = write(workdir / "bad.nsra", 'An object of Cipher invokes init.\nThe name of init is "x.\n')
     ref = str(GOLDEN / "example_invoke.ql")

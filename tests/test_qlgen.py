@@ -285,6 +285,17 @@ def test_list_items_take_exactly_one_comma_between(query, at):
         assert info.value.span.start == (len(query) if at is None else query.rindex(at))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('import "A B"\nselect 1', "expected ident, found 'A B'"), ('select "A B"', "unexpected 'A B' in select list")],
+)
+def test_errors_quote_a_string_as_written(text, message):
+    for read in (normalize_ql, read_query_text):
+        with pytest.raises(QlLexError) as info:
+            read(text)
+        assert info.value.message == message
+
+
 def test_single_commas_still_read():
     ir = read_query_text('from T a, T b\nwhere a.f("x", 1) = b.g()\nselect a, b')
     assert ir.selects == ("a", "b")

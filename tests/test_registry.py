@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsra import compile_text, halstead_nsra, registry as registry_module
 from nsra.errors import (
     BadTemplate,
     ConfigParseError,
     DuplicateAttribute,
+    SourceError,
+    Span,
     UnknownAttribute,
 )
+from nsra.ir import Chain, Eq, Lit, Var
+from nsra.qlgen import read_query_text
 from nsra.registry import (
-    ORDINAL_SLOT,
     AttributeRule,
-    CallStep,
     Registry,
     builtin_crypto_profile,
     load_profile,
@@ -133,16 +140,16 @@ def test_rule_without_steps_rejected():
 
 
 def test_rules_compare_by_fields():
-    rule = AttributeRule(word="name", steps=(CallStep(name="getName"),), result_kind="string")
+    rule = AttributeRule(word="name", steps=("getName()",), result_kind="string")
     assert rule == lookup_attribute("name", builtin_crypto_profile())
-    assert hash(rule) == hash(AttributeRule("name", (CallStep("getName", ()),), "string"))
-    assert CallStep("getName") != AttributeRule("getName", (CallStep("getName"),), "string")
+    assert hash(rule) == hash(AttributeRule("name", ("getName()",), "string", None))
+    assert rule != AttributeRule("name", ("getName()",), "string", (0, 8))
 
 
 def test_malformed_line_rejected():
     with pytest.raises(ConfigParseError) as info:
-        load_profile("receiver getReceiverType()")
-    assert info.value.line == 1
+        load_profile("x = f()\n  receiver getReceiverType()")
+    assert info.value.span == Span(10, 36)
 
 
 def test_unknown_section_rejected():
@@ -156,11 +163,11 @@ def test_alias_and_type_sections():
         [aliases]
         Key = java.security.Key
         [types]
-        field = Field
+        variable = LocalVariableDecl
         """
     )
     assert reg.resolve_alias("Key") == "java.security.Key"
-    assert reg.ql_type_names["field"] == "Field"
+    assert reg.ql_type_names["variable"] == "LocalVariableDecl"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -188,15 +195,17 @@ def test_ordinal_slot_render_requires_index(builtin):
 
 
 def test_string_args_escaped_in_render():
-    reg = load_profile('quoted = replaceAll("\\"", "x")')
+    reg = load_profile('quoted = replaceAll("\\"", "x")\nother = f("\\n", "a\\\\b", 007)')
     assert rendered(reg, "quoted") == 'replaceAll("\\"", "x")'
+    assert rendered(reg, "other") == 'f("n", "a\\\\b", 7)'  # unescaped, then escaped again
 
 
 def test_template_literal_int_and_ordinal_mix():
     reg = load_profile('pick = getArgument(@ordinal).splitAt("/", 3)')
     rule = lookup_attribute("pick", reg)
     assert rule.render_steps(0) == ("getArgument(0)", 'splitAt("/", 3)')
-    assert ORDINAL_SLOT in rule.steps[0].args
+    assert rule.steps == ("getArgument()", 'splitAt("/", 3)')
+    assert rule.slot == (0, len("getArgument("))
 
 
 def test_builtin_templates_appear_in_reference_outputs(builtin, golden_dir):
@@ -222,7 +231,9 @@ def test_builtin_profile_is_read_only():
         with pytest.raises(TypeError):
             maps["receiver"] = None  # type: ignore[index]
     before = (dict(builtin.rules), dict(builtin.type_aliases), dict(builtin.ql_type_names))
-    load_profile("receiver = getReceiverType()\nname = getOther()\n[aliases]\nKey = a.Key\n[types]\nfield = Field")
+    load_profile(
+        "receiver = getReceiverType()\nname = getOther()\n[aliases]\nKey = a.Key\n[types]\nvariable = LocalVariableDecl"
+    )
     after = builtin_crypto_profile()
     assert after is builtin
     assert (dict(after.rules), dict(after.type_aliases), dict(after.ql_type_names)) == before
@@ -243,3 +254,128 @@ def test_builtin_profile_parsed_once_per_process(monkeypatch):
         halstead_nsra("An object of Cipher invokes init.")
         parse("receiver = getReceiverType()", base=None)
     assert parsed == [registry_module._BUILTIN_PROFILE]
+
+
+def error_at(text: str) -> tuple[str, str]:
+    """The message of the error ``load_profile`` raises on ``text``, and the text its span covers."""
+    with pytest.raises(SourceError) as info:
+        load_profile(text)
+    span = info.value.span
+    return info.value.message, text[span.start : span.end]
+
+
+@pytest.mark.parametrize(
+    "template, message, at, covered",
+    [
+        ('splitAt("/" 1)', "unexpected '1' in template arguments", 12, "1"),  # a missing comma
+        ("f(1,)", "unexpected ')' in template arguments", 4, ")"),  # a trailing comma
+        ("f(,1)", "unexpected ',' in template arguments", 2, ","),
+        ("f(1,,2)", "unexpected ',' in template arguments", 4, ","),
+        ("getArgument(-1)", "unexpected '-' in template arguments", 12, "-"),  # no negative integers
+        ("f(@ordinal).g(@ordinal)", "bad template for attribute 'x': ordinal slot named twice", 14, "@"),
+        ("f() // a comment", "unexpected '/' in template", 4, "/"),
+        ("f(/* a comment */ 1)", "unexpected '/' in template", 2, "/"),
+        ("f().", "expected a call name in template for 'x'", 4, ""),
+        ("1f()", "expected a call name in template for 'x'", 0, "1"),
+        ("f() g()", "expected '.' between calls, found 'g'", 4, "g"),
+        ("f", "call 'f' needs parentheses", 1, ""),
+        ('f("abc', "unterminated string in template", 2, '"'),
+        ("f(1", "unterminated argument list for 'x'", 3, ""),
+    ],
+)
+def test_template_errors_point_at_the_token(template, message, at, covered):
+    prefix = "# a rule\nx =  "
+    with pytest.raises(SourceError) as info:
+        load_profile(f"{prefix}{template}\n")
+    start, end = info.value.span.start - len(prefix), info.value.span.end - len(prefix)
+    assert (info.value.message, start, template[start:end]) == (message, at, covered)
+
+
+def test_hash_inside_a_string_is_part_of_it():
+    reg = load_profile('strip = replaceAll("#", "")  # drops every "#"\n[aliases]\nHash = "#" # an alias')
+    assert lookup_attribute("strip", reg).render_steps() == ('replaceAll("#", "")',)
+    assert reg.type_aliases["Hash"] == '"#"'
+
+
+def test_whitespace_between_template_tokens():
+    reg = load_profile('x = toString()  .replaceAll ( "a" ,"b" ) . splitAt("/",0)\ny = getArgument(@ ordinal)')
+    assert lookup_attribute("x", reg).render_steps() == ("toString()", 'replaceAll("a", "b")', 'splitAt("/", 0)')
+    assert lookup_attribute("y", reg).render_steps(2) == ("getArgument(2)",)
+
+
+def test_ordinal_slot_keeps_a_string_that_spells_it():
+    rule = lookup_attribute("x", load_profile('x = f("@ordinal", @ordinal)'))
+    assert rule.render_steps(1) == ('f("@ordinal", 1)',)
+
+
+@pytest.mark.parametrize("key", ["my attr", "first", "Second", "1st", "x-y", '"x"'])
+def test_rule_keys_are_one_word_and_not_an_ordinal(key):
+    assert error_at(f"{key} = getX()") == (f"attribute word {key!r} is not one word or is an ordinal", key)
+
+
+def test_rule_keys_the_parser_reads_as_words():
+    reg = load_profile("class = getX()\ndoesn't = getY()\nx_1 = getZ()")
+    assert {"class", "doesn't", "x_1"} <= set(reg.rules)
+
+
+@pytest.mark.parametrize("key", ["field", "method  access", "methods"])
+def test_type_keys_are_type_nouns(key):
+    message = f"{key!r} is not a type noun: variable, class, method access"
+    assert error_at(f"[types]\n{key} = Field") == (message, key)
+
+
+def test_readme_profile_loads_and_compiles():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Attribute profiles\n.*?^```ini\n(.*?)^```", readme, re.S | re.M)
+    reg = load_profile(block)
+    out = compile_text(
+        'An object of Cipher invokes init. The receiver of init is "Cipher". The first argument of init is k. '
+        "k is a method access.",
+        reg,
+    )
+    assert 'init.getReceiverType().toString() = "Cipher"' in out
+    assert "init.getArgument(0) = k" in out
+    assert reg.resolve_alias("PublicKey") == "java.security.PublicKey"
+
+
+# --- templates read back as QL ----------------------------------------------------
+
+_STRINGS = st.text(alphabet='ab #/@\\"', max_size=6).map(lambda body: f'"{body}"') | st.sampled_from(
+    ['"\\""', '"\\\\"', '"#"', '"@ordinal"', '"\\n"', '"a/b"']
+)
+_ARGS = _STRINGS | st.integers(0, 10**20).map(str) | st.just("@ordinal") | st.sampled_from(["-1", "x", "@", "²"])
+_SEPARATORS = st.sampled_from([", ", ",", " , ", ",\t"] * 4 + [" ", ",,", ", ,", ""])
+
+
+@st.composite
+def _templates(draw) -> str:
+    """Calls of sampled names, arguments and separators, mostly well formed."""
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["getName", "toString", "splitAt", "f_1", "replaceAll", "1f", "é"]))
+        args = draw(st.lists(_ARGS, max_size=3))
+        text = args[0] if args else ""
+        for arg in args[1:]:
+            text += draw(_SEPARATORS) + arg
+        calls.append(f"{name}({text}{draw(st.sampled_from(['', '', '', ',']))})")
+    return draw(st.sampled_from([".", ".", " . ", ".."])).join(calls)
+
+
+@given(_templates())
+@example('toString().replaceAll("\\"", "").splitAt("/", 0)')
+@example('f("#", "\\\\", "@ordinal", @ordinal, 12)')
+@example("getArgument(-1)")
+@settings(max_examples=300, deadline=None)
+def test_templates_render_what_the_ql_reader_reads(template):
+    """A template ``load_profile`` accepts renders calls that ``read_query_text``
+    reads back to the same chain; one it rejects raises a ``SourceError``
+    with a span inside the profile text."""
+    text = f"# generated\nw = {template}  # after\n"
+    try:
+        rule = lookup_attribute("w", load_profile(text))
+    except SourceError as err:
+        assert err.span is not None and 0 <= err.span.start <= err.span.end <= len(text), err
+        return
+    steps = rule.render_steps(3 if rule.has_ordinal_slot else None)
+    ir = read_query_text(f'from MethodAccess m where m.{".".join(steps)} = "x" select m')
+    assert ir.condition == Eq(Chain(Var("m"), steps), Lit("x"))
