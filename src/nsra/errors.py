@@ -80,10 +80,13 @@ class QuerySyntaxError(SourceError):
 class UnknownOrdinal(SourceError):
     def __init__(self, word: str, span: Span | None = None):
         super().__init__(f"unknown ordinal adjective {word!r}", span)
-        self.word = word
 
 
 class EmptyList(SourceError):
+    pass
+
+
+class NestingTooDeep(SourceError):
     pass
 
 
@@ -93,20 +96,16 @@ class UnknownAttribute(SourceError):
         if known:
             message += f"; known attributes: {', '.join(sorted(known))}"
         super().__init__(message)
-        self.word = word
-        self.known = tuple(sorted(known))
 
 
 class OrdinalNotAllowed(SourceError):
     def __init__(self, attribute: str):
         super().__init__(f"attribute {attribute!r} does not take an ordinal adjective")
-        self.attribute = attribute
 
 
 class MissingOrdinal(SourceError):
     def __init__(self, attribute: str):
         super().__init__(f"attribute {attribute!r} requires an ordinal adjective")
-        self.attribute = attribute
 
 
 class UndeclaredSubject(SourceError):
@@ -114,13 +113,11 @@ class UndeclaredSubject(SourceError):
         super().__init__(
             f"{name!r} is never introduced by an invocation statement or a type assumption"
         )
-        self.name = name
 
 
 class DuplicateDeclaration(SourceError):
     def __init__(self, name: str):
         super().__init__(f"conflicting declarations for {name!r}")
-        self.name = name
 
 
 class ConfigParseError(SourceError):

@@ -36,10 +36,6 @@ class Chain:
     base: "QlExpr"
     steps: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("call chain needs at least one step")
-
     def extended(self, steps: tuple[str, ...]) -> "Chain":
         return Chain(self.base, self.steps + steps)
 

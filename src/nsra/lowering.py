@@ -19,9 +19,12 @@ from .ir import (
     And,
     BoolExpr,
     Chain,
+    Count,
     Decl,
     Eq,
+    Exists,
     Lit,
+    Lt,
     Not,
     Or,
     QlExpr,
@@ -33,7 +36,6 @@ from .ir import (
     disjoin,
     simplify,
 )
-from .patterns import METHOD_ACCESS, lower_invocation, lower_ordering, lower_signature
 from .registry import Registry, lookup_attribute
 
 
@@ -49,8 +51,6 @@ def apply_necessity(constraints: list[BoolExpr]) -> BoolExpr:
 
 def expand_membership(lhs: QlExpr, items: list[Lit]) -> BoolExpr:
     """Membership in a list is the disjunction of the equalities."""
-    if not items:
-        raise ValueError("empty membership list")
     return disjoin([Eq(lhs, item) for item in items])
 
 
@@ -65,11 +65,14 @@ def resolve_exp(
     ``toString()`` when it is about to be compared with a string.
     """
     resolved = _resolve_inner(e, reg, declared)
-    if comparison_is_string and isinstance(e, ast.Prefixed):
-        rule = lookup_attribute(e.attribute, reg)
-        if rule.result_kind == "object" and isinstance(resolved, Chain):
-            resolved = resolved.extended(("toString()",))
+    if comparison_is_string and _result_kind(e, reg) == "object":
+        return resolved.extended(("toString()",))  # a Prefixed resolves to a Chain
     return resolved
+
+
+def _result_kind(e: ast.Exp, reg: Registry) -> str | None:
+    # The kind of the outermost rule; an identifier or a literal has none.
+    return lookup_attribute(e.attribute, reg).result_kind if isinstance(e, ast.Prefixed) else None
 
 
 def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> QlExpr:
@@ -90,10 +93,6 @@ def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> QlExp
     if isinstance(inner, Chain):
         return inner.extended(steps)
     return Chain(inner, steps)
-
-
-def _outermost_attribute(e: ast.Exp) -> str | None:
-    return e.attribute if isinstance(e, ast.Prefixed) else None
 
 
 def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:
@@ -139,7 +138,7 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
                 if known is not None and known != stmt.class_name:
                     raise DuplicateDeclaration(stmt.method_name)
                 invocation_class[stmt.method_name] = stmt.class_name
-                add(Decl(stmt.method_name, METHOD_ACCESS))
+                add(Decl(stmt.method_name, reg.ql_type_names["method access"]))
         elif isinstance(stmt, ast.Basic) and isinstance(stmt.rhs, ast.TypeAssumption):
             if not isinstance(stmt.lhs, ast.Ident):
                 raise UndeclaredSubject(ast.exp_to_text(stmt.lhs))
@@ -175,26 +174,52 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
             _lower_statement(stmt.cond, reg, declared),
             _lower_statement(stmt.then, reg, declared),
         )
-    if isinstance(stmt, ast.Necessity):
-        raise ValueError("necessity statements cannot nest inside other statements")
     if isinstance(stmt, ast.InvocationPattern):
-        return lower_invocation(stmt.class_name, stmt.method_name, stmt.positive)
+        # A positive invocation's subject is declared by ``_collect_decls``; a
+        # negative one binds it in an existential.
+        subject = Var(stmt.method_name)
+        cond: BoolExpr = And(
+            (
+                Eq(Chain(subject, ("getMethod()", "getName()")), Lit(stmt.method_name)),
+                Eq(Chain(subject, ("getReceiverType()", "getName()")), Lit(stmt.class_name)),
+            )
+        )
+        if stmt.positive:
+            return cond
+        return Not(Exists(Decl(stmt.method_name, reg.ql_type_names["method access"]), cond))
     if isinstance(stmt, ast.OrderingPattern):
+        # Same callable, strictly smaller end line, so same-line invocations
+        # never satisfy an ordering; ``a precedes a`` is emitted as the
+        # (unsatisfiable) comparison it denotes.  The parser has already
+        # swapped ``X follows Y`` into (Y, X).
         for name in (stmt.before, stmt.after):
             if name not in declared:
                 raise UndeclaredSubject(name)
-        return lower_ordering(stmt.before, stmt.after)
+        b, a = Var(stmt.before), Var(stmt.after)
+        return And(
+            (
+                Eq(Chain(b, ("getEnclosingCallable()",)), Chain(a, ("getEnclosingCallable()",))),
+                Lt(Chain(b, ("getLocation()", "getEndLine()")), Chain(a, ("getLocation()", "getEndLine()"))),
+            )
+        )
     if isinstance(stmt, ast.SignaturePattern):
+        # The argument count equals the list length, then one type check per
+        # slot; the negative form negates the whole conjunction.
         if stmt.method_name not in declared:
             raise UndeclaredSubject(stmt.method_name)
-        return lower_signature(stmt.method_name, stmt.type_names, stmt.positive)
+        subject = Var(stmt.method_name)
+        checks = [Eq(Count(Chain(subject, ("getAnArgument()",))), Lit(len(stmt.type_names)))]
+        for i, type_name in enumerate(stmt.type_names):
+            checks.append(Eq(Chain(subject, (f"getArgument({i})", "getType()", "toString()")), Lit(type_name)))
+        cond = And(tuple(checks))
+        return cond if stmt.positive else Not(cond)
     raise TypeError(f"cannot lower {stmt!r}")
 
 
 def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> BoolExpr:
     if isinstance(stmt.rhs, ast.TypeAssumption):
         return TRUE  # contributes a declaration only
-    aliases_apply = _outermost_attribute(stmt.lhs) == "type"
+    aliases_apply = isinstance(stmt.lhs, ast.Prefixed) and stmt.lhs.attribute == "type"
     if isinstance(stmt.rhs, ast.LiteralList):
         is_string = all(isinstance(i.value, str) for i in stmt.rhs.items)
         lhs = resolve_exp(stmt.lhs, reg, declared, is_string)
@@ -207,6 +232,10 @@ def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> Bo
             rhs: QlExpr = Lit(_aliased(stmt.rhs.value, reg, aliases_apply))
         else:
             rhs = resolve_exp(stmt.rhs, reg, declared)
+            # Two expressions compare as strings when either is string-valued,
+            # resolved again now that both sides are known to resolve.
+            if "string" in (_result_kind(stmt.lhs, reg), _result_kind(stmt.rhs, reg)):
+                lhs, rhs = (resolve_exp(e, reg, declared, True) for e in (stmt.lhs, stmt.rhs))
         cond = Eq(lhs, rhs)
     return Not(cond) if stmt.negated else cond
 

@@ -29,8 +29,6 @@ from .lexer import TokenKind, normalize, tokenize
 from .qlgen import QlReader
 from .registry import Registry, builtin_crypto_profile
 
-STROUD_SECONDS = 18  # mental discriminations per second in the time formula
-
 
 class HalsteadCounts(Record):
     __slots__ = ("distinct_operators", "distinct_operands", "total_operators", "total_operands")
@@ -68,10 +66,6 @@ class HalsteadCounts(Record):
     @property
     def effort(self) -> float:
         return self.difficulty * self.volume
-
-    @property
-    def time_seconds(self) -> float:
-        return self.effort / STROUD_SECONDS
 
 
 def _tally(keys: list[tuple[str, object]]) -> tuple[int, int]:
@@ -183,8 +177,8 @@ class ComparisonRow:
 def compare(nsra: HalsteadCounts, ql: HalsteadCounts) -> ComparisonRow:
     """Length/vocabulary reductions and the effort ratio (QL over NSRA).
 
-    The time ratio would equal the effort ratio: both times divide by
-    ``STROUD_SECONDS``."""
+    The time ratio would equal the effort ratio: Halstead time is effort
+    over a constant."""
     if ql.length == 0:
         raise ZeroDivisionError("cannot compare against an empty query")
     if ql.vocabulary == 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import EmptyList, QuerySyntaxError, Span, UnknownOrdinal
+from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import Token, TokenKind, normalize, ordinal_value, tokenize
 from .syntax import (
     AndStmt,
@@ -34,11 +34,17 @@ from .syntax import (
 
 _TYPE_NOUNS = {("variable",): "variable", ("class",): "class", ("method", "access"): "method access"}
 
+# How deeply ``it is false that``, ``if .. then`` and attribute prefixes may
+# nest, together: every later stage recurses once or a few times per level,
+# and this depth leaves them room under Python's default recursion limit.
+MAX_NESTING = 100
+
 
 class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # nested phrases open at ``pos``
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
@@ -52,12 +58,15 @@ class _Cursor:
         tok = self.peek(offset)
         return tok is not None and tok.kind is kind
 
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of query", self._end_span())
+    def take(self) -> Token:  # every caller has seen that there is a next token
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def descend(self) -> None:  # a nested phrase opens at the next token; its parser ends it with ``depth -= 1``
+        if self.depth == MAX_NESTING:
+            raise NestingTooDeep(f"phrases nested more than {MAX_NESTING} deep", self.tokens[self.pos].span)
+        self.depth += 1
 
     def expect_word(self, *words: str) -> Token:
         if not self.at_word(*words):
@@ -153,16 +162,21 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
             "a necessity statement must stand on its own sentence", tok.span
         )
     if _at_phrase(cur, "it", "is", "false", "that"):
+        cur.descend()
         for _ in range(4):
             cur.take()
-        return NotStmt(_unit(cur, previous=None))
+        inner = _unit(cur, previous=None)
+        cur.depth -= 1
+        return NotStmt(inner)
     if cur.at_word("if"):
+        cur.descend()
         cur.take()
         cond = _or_chain(cur)
         if cur.at_kind(TokenKind.COMMA):  # tolerated before "then"
             cur.take()
         cur.expect_word("then")
         then = _and_chain(cur)
+        cur.depth -= 1
         return IfStmt(cond, then)
     return _simple(cur, previous)
 
@@ -313,6 +327,7 @@ def _exp(cur: _Cursor) -> Exp:
     if tok.kind in (TokenKind.STRING, TokenKind.INT):
         return _literal(cur)
     if tok.kind is TokenKind.ORDINAL:
+        cur.descend()
         cur.take()
         value = ordinal_value(tok.text)
         assert value is not None
@@ -321,7 +336,9 @@ def _exp(cur: _Cursor) -> Exp:
             raise cur.error("attribute word")
         cur.take()
         cur.expect_word("of")
-        return Prefixed(attr.lowered(), value, _exp(cur))
+        inner = _exp(cur)
+        cur.depth -= 1
+        return Prefixed(attr.lowered(), value, inner)
     if tok.kind in (TokenKind.IDENT, TokenKind.WORD):
         # Adjective position: word before "attribute of" must be an ordinal.
         nxt = cur.peek(1)
@@ -333,9 +350,12 @@ def _exp(cur: _Cursor) -> Exp:
         ):
             raise UnknownOrdinal(tok.text, tok.span)
         if cur.at_word("of", offset=1):
+            cur.descend()
             cur.take()
             cur.take()  # of
-            return Prefixed(tok.lowered(), None, _exp(cur))
+            inner = _exp(cur)
+            cur.depth -= 1
+            return Prefixed(tok.lowered(), None, inner)
         if tok.kind is TokenKind.IDENT:
             cur.take()
             return Ident(tok.text)

@@ -37,12 +37,10 @@ class AttributeRule(Record):
     ``render_steps`` writes the ordinal at ``slot``, a (call index, offset)
     or None.  ``result_kind`` is "string" or "object"."""
 
-    __slots__ = ("word", "steps", "result_kind", "slot")
+    __slots__ = ("steps", "result_kind", "slot")
 
-    def __init__(self, word: str, steps: tuple[str, ...], result_kind: str, slot: tuple[int, int] | None = None):
-        if not steps:
-            raise BadTemplate(f"bad template for attribute {word!r}: template has no calls")
-        self.word, self.steps, self.result_kind, self.slot = word, steps, result_kind, slot
+    def __init__(self, steps: tuple[str, ...], result_kind: str, slot: tuple[int, int] | None = None):
+        self.steps, self.result_kind, self.slot = steps, result_kind, slot
 
     @property
     def has_ordinal_slot(self) -> bool:
@@ -219,7 +217,7 @@ def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:
             i += 1
         steps.append(f"{name}({', '.join(args)})")
         if not tokens[i + 1]:
-            return AttributeRule(word, tuple(steps), "string" if name in _STRING_RESULTS else "object", slot)
+            return AttributeRule(tuple(steps), "string" if name in _STRING_RESULTS else "object", slot)
         if tokens[i + 1] != ".":
             raise ConfigParseError(f"expected '.' between calls, found {tokens[i + 1]!r}", span(i + 1))
         i += 2

@@ -129,8 +129,6 @@ class SignaturePattern(Record):
     __slots__ = ("method_name", "type_names", "positive")
 
     def __init__(self, method_name: str, type_names: tuple[str, ...], positive: bool = True):
-        if not type_names:
-            raise ValueError("signature pattern needs at least one type name")
         self.method_name, self.type_names, self.positive = method_name, type_names, positive
 
 
@@ -150,9 +148,7 @@ Statement = Union[
 class QueryAst(Record):
     __slots__ = ("statements",)
 
-    def __init__(self, statements: tuple[Statement, ...] = ()):
-        if not statements:
-            raise ValueError("a query needs at least one statement")
+    def __init__(self, statements: tuple[Statement, ...]):
         self.statements = statements
 
 

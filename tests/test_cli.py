@@ -10,6 +10,7 @@ import pytest
 
 import nsra
 from nsra.cli import run
+from nsra.parser import MAX_NESTING
 from nsra.qlgen import normalize_ql
 from conftest import GOLDEN, QL_PREAMBLES, golden_text
 
@@ -317,3 +318,49 @@ def test_compile_warns_about_a_type_without_alias(workdir):
     assert proc.returncode == 0, proc.stderr
     assert 'getType().toString() = "SecretKeySpec"' in proc.stdout
     assert "no qualified-name alias for type 'SecretKeySpec'; using it as written" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["compile", "check", "metrics"])
+def test_missing_file_is_an_error_not_a_traceback(workdir, capsys, command):
+    missing = str(workdir / "absent")
+    query = str(GOLDEN / "task1.nsra")
+    argv = {
+        "compile": ["compile", missing],
+        "check": ["check", missing, "--golden", str(GOLDEN / "task1.ql")],
+        "metrics": ["metrics", missing, "--ql", str(GOLDEN / "task1.ql")],
+    }[command]
+    assert run(argv) == 1
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+    assert run([command, query, *argv[2:], "--profile", missing]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_metrics_against_an_empty_query_is_an_error(workdir, capsys):
+    ref = write(workdir / "empty.ql", "import java\n")
+    assert run(["metrics", str(GOLDEN / "task1.nsra"), "--ql", ref]) == 1
+    assert capsys.readouterr().err == "error: cannot compare against an empty query\n"
+
+
+def test_emit_ir_dumps_negation_existential_and_true(workdir, capsys):
+    negated = write(workdir / "negated.nsra", "An object of Cipher does not invoke foo.")
+    assert run(["compile", negated, "--emit", "ir"]) == 0
+    assert capsys.readouterr().out == (
+        "where\n"
+        "  not\n"
+        "    exists MethodAccess foo\n"
+        "      and\n"
+        '        = foo.getMethod().getName() :: "foo"\n'
+        '        = foo.getReceiverType().getName() :: "Cipher"\n'
+        "select 1\n"
+    )
+    assumed = write(workdir / "assumed.nsra", "x is a variable.")
+    assert run(["compile", assumed, "--emit", "ir"]) == 0
+    assert capsys.readouterr().out == "decl Variable x\nwhere\n  true\nselect x\n"
+
+
+def test_nesting_too_deep_is_a_diagnostic(workdir, capsys):
+    text = "An object of Cipher invokes init.\n" + "It is false that " * (MAX_NESTING + 1) + 'init is "x".\n'
+    query = write(workdir / "deep.nsra", text)
+    assert run(["compile", query]) == 1
+    column = len("It is false that ") * MAX_NESTING + 1
+    assert capsys.readouterr().err == f"{query}:2:{column}: error: phrases nested more than {MAX_NESTING} deep\n"

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from nsra import syntax as ast
+from nsra import compile_text, syntax as ast
 from nsra.errors import (
     DuplicateDeclaration,
     MissingOrdinal,
@@ -13,6 +13,7 @@ from nsra.errors import (
 from nsra.ir import (
     And,
     Chain,
+    Decl,
     Eq,
     Lit,
     Not,
@@ -30,6 +31,7 @@ from nsra.lowering import (
 )
 from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql, render
+from nsra.registry import load_profile
 from conftest import golden_text
 from truth_table import assignments, atoms, evaluate
 
@@ -155,6 +157,25 @@ def test_apply_necessity_three_truth_table():
     cond = apply_necessity(constraints)
     for env in assignments(constraints):
         assert evaluate(cond, env) == (not all(env[c] for c in constraints))
+
+
+def test_expression_equality_compares_strings_when_either_side_is_one(registry):
+    """An object side gains ``toString()`` against a string-valued side, as
+    it does against a string literal; two object sides compare as objects."""
+    invoked = "An object of Cipher invokes init. An object of Cipher invokes getInstance. "
+    init_arg = Chain(Var("init"), ("getArgument(0)",))
+    algorithm = Chain(
+        Var("getInstance"), ("getArgument(0)", "toString()", 'replaceAll("\\"", "")', 'splitAt("/", 0)')
+    )
+    as_string = init_arg.extended(("toString()",))
+    ir = lower_text(invoked + "The first argument of init is the algorithm of the first argument of getInstance.", registry)
+    assert ir.condition.items[-1] == Eq(as_string, algorithm)
+    ir = lower_text(invoked + "The algorithm of the first argument of getInstance is the first argument of init.", registry)
+    assert ir.condition.items[-1] == Eq(algorithm, as_string)
+    ir = lower_text(invoked + "The first argument of init is the first argument of getInstance.", registry)
+    assert ir.condition.items[-1] == Eq(init_arg, Chain(Var("getInstance"), ("getArgument(0)",)))
+    ir = lower_text(invoked + "The name of init is the name of getInstance.", registry)
+    assert ir.condition.items[-1] == Eq(Chain(Var("init"), ("getName()",)), Chain(Var("getInstance"), ("getName()",)))
 
 
 # --- full lowering -----------------------------------------------------------
@@ -309,3 +330,43 @@ def test_concurrent_compilation_is_deterministic(registry):
     with ThreadPoolExecutor(max_workers=6) as pool:
         results = list(pool.map(lambda t: compile_text(t, registry), texts))
     assert results == expected
+
+
+# --- the method-access class comes from the profile ----------------------------
+
+METHOD_CALL = "[types]\nmethod access = MethodCall\n"
+
+
+@pytest.mark.parametrize("name", ["example_invoke", "task1", "task2", "task3"])
+def test_method_access_class_names_invocation_subjects(registry, name):
+    text = golden_text(f"{name}.nsra")
+    out = compile_text(text, load_profile(METHOD_CALL))
+    assert "MethodAccess" not in out
+    assert normalize_ql(out) == normalize_ql(compile_text(text, registry).replace("MethodAccess", "MethodCall"))
+
+
+def test_does_not_invoke_binds_the_profile_class():
+    out = compile_text("An object of Cipher does not invoke foo.", load_profile(METHOD_CALL))
+    assert "not (exists (MethodCall foo | " in out
+
+
+def test_invocation_subject_may_be_assumed_a_method_access(registry):
+    text = "An object of Cipher invokes init. init is a method access."
+    assert lower_text(text, load_profile(METHOD_CALL)).decls == (Decl("init", "MethodCall"),)
+    assert lower_text(text, registry).decls == (Decl("init", "MethodAccess"),)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("a precedes b.", UndeclaredSubject, "'a' is never introduced"),
+        ("An object of C invokes a. a precedes b.", UndeclaredSubject, "'b' is never introduced"),
+        ('signature of m is ["int"].', UndeclaredSubject, "'m' is never introduced"),
+        ("the name of x is a variable.", UndeclaredSubject, "'name of x' is never introduced"),
+        ("An object of C invokes m. m is a variable.", DuplicateDeclaration, "conflicting declarations for 'm'"),
+    ],
+)
+def test_subjects_must_be_declared_once(registry, text, error, message):
+    with pytest.raises(error) as info:
+        lower_text(text, registry)
+    assert info.value.message.startswith(message)

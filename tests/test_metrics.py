@@ -106,7 +106,6 @@ def test_derived_measures_match_formulas():
     assert math.isclose(counts.volume, volume, rel_tol=1e-9)
     assert math.isclose(counts.difficulty, difficulty, rel_tol=1e-9)
     assert math.isclose(counts.effort, difficulty * volume, rel_tol=1e-9)
-    assert math.isclose(counts.time_seconds, difficulty * volume / 18, rel_tol=1e-9)
 
 
 def test_invalid_counts_rejected():

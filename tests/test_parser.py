@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from nsra.errors import EmptyList, QuerySyntaxError, UnknownOrdinal, line_column
-from nsra.parser import parse_text
+from nsra.errors import EmptyList, NestingTooDeep, QuerySyntaxError, UnknownOrdinal, line_column
+from nsra.lowering import lower
+from nsra.parser import MAX_NESTING, parse_text
+from nsra.qlgen import normalize_ql, read_query_text, render
 from nsra.syntax import (
     AndStmt,
     Basic,
@@ -19,7 +22,6 @@ from nsra.syntax import (
     OrderingPattern,
     OrStmt,
     Prefixed,
-    QueryAst,
     SignaturePattern,
     TypeAssumption,
     query_to_text,
@@ -192,9 +194,11 @@ def test_empty_list_rejected():
 
 
 def test_unknown_ordinal_reported():
+    text = 'the eleventh argument of init is "x".'
     with pytest.raises(UnknownOrdinal) as info:
-        parse_text('the eleventh argument of init is "x".')
-    assert info.value.word == "eleventh"
+        parse_text(text)
+    assert info.value.message == "unknown ordinal adjective 'eleventh'"
+    assert text[info.value.span.start : info.value.span.end] == "eleventh"
 
 
 def test_ordinals_first_through_tenth_accepted():
@@ -345,7 +349,70 @@ def test_nodes_compare_by_type_and_fields():
 
 
 def test_empty_signature_and_empty_query_rejected():
-    with pytest.raises(ValueError, match="at least one type name"):
-        SignaturePattern("m", ())
-    with pytest.raises(ValueError, match="at least one statement"):
-        QueryAst(())
+    text = "An object of C invokes m. signature of m is []."
+    with pytest.raises(EmptyList) as info:
+        parse_text(text)
+    assert text[info.value.span.start : info.value.span.end] == "[]"
+    for empty in ("", " \n "):
+        with pytest.raises(QuerySyntaxError, match="empty query"):
+            parse_text(empty)
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ('x is in ["a",', "unexpected end of query (expected a literal)", 13),
+        ("x is in [foo].", "unexpected 'foo' (expected a string or integer literal)", 9),
+        ("x is", "unexpected end of query (expected an expression)", 4),
+        ("x is .", "unexpected '.' (expected an expression)", 5),
+        ('the first "x" of init is "a".', "unexpected 'x' (expected attribute word)", 10),
+        ("the first", "unexpected end of query (expected attribute word)", 9),
+    ],
+)
+def test_syntax_error_branches(text, message, at):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_text(text)
+    assert (info.value.message, info.value.span.start) == (message, at)
+
+
+# --- nesting depth -------------------------------------------------------------
+
+_EQ = 'init is "x"'
+
+# Each phrase nested ``n`` deep, and the word that opens each level.
+NESTINGS = {
+    "it is false that": (lambda n: "It is false that " * n + _EQ, "It"),
+    "the name of": (lambda n: "the name of " * n + _EQ, "name"),
+    "if .. then, as the consequence": (lambda n: f"if {_EQ} then " * n + _EQ, "if"),
+    "if .. then, as the condition": (lambda n: "if " * n + _EQ + f" then {_EQ}" * n, "if"),
+}
+
+
+@pytest.mark.parametrize("phrase", NESTINGS)
+def test_nesting_at_the_limit_compiles(phrase, registry):
+    """Every stage, down to reading the output back, copes with the deepest
+    nesting the parser accepts."""
+    nested, _ = NESTINGS[phrase]
+    ir = lower(parse_text(f"An object of Cipher invokes init. {nested(MAX_NESTING)}."), registry)
+    out = render(ir)
+    assert read_query_text(out) == ir
+    assert normalize_ql(out) == normalize_ql(normalize_ql(out))
+
+
+@pytest.mark.parametrize("phrase", NESTINGS)
+def test_nesting_past_the_limit_is_an_error(phrase):
+    """The error points at the word that opens the level past the limit."""
+    nested, opener = NESTINGS[phrase]
+    text = f"An object of Cipher invokes init. {nested(MAX_NESTING + 1)}."
+    with pytest.raises(NestingTooDeep) as info:
+        parse_text(text)
+    assert info.value.message == f"phrases nested more than {MAX_NESTING} deep"
+    openers = [m.start() for m in re.finditer(rf"\b{opener}\b", text)]
+    assert (len(openers), info.value.span.start) == (MAX_NESTING + 1, openers[MAX_NESTING])
+
+
+def test_nesting_counts_every_phrase_together():
+    half = MAX_NESTING // 2
+    parse_text("It is false that " * half + "the name of " * (MAX_NESTING - half) + _EQ + ".")
+    with pytest.raises(NestingTooDeep):
+        parse_text("It is false that " * half + "the name of " * (MAX_NESTING - half + 1) + _EQ + ".")

@@ -1,16 +1,22 @@
+"""The three statement patterns as ``lowering`` lowers them: invocation,
+ordering and signature."""
+
 from __future__ import annotations
 
-import pytest
-
 from nsra.ir import And, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var
-from nsra.lowering import lower
+from nsra.lowering import _lower_statement, lower
 from nsra.parser import parse_text
-from nsra.patterns import lower_invocation, lower_ordering, lower_signature
 from truth_table import free_variables
 
 
+def lowered(text: str, registry, declared: tuple[str, ...] = ()):
+    """The condition of a one-sentence query, with ``declared`` in scope."""
+    (stmt,) = parse_text(text).statements
+    return _lower_statement(stmt, registry, frozenset(declared))
+
+
 def test_positive_invocation(registry):
-    assert lower_invocation("Cipher", "init", True) == And(
+    assert lowered("An object of Cipher invokes init.", registry) == And(
         (
             Eq(Chain(Var("init"), ("getMethod()", "getName()")), Lit("init")),
             Eq(Chain(Var("init"), ("getReceiverType()", "getName()")), Lit("Cipher")),
@@ -21,21 +27,22 @@ def test_positive_invocation(registry):
 
 
 def test_negative_invocation(registry):
-    cond = lower_invocation("Cipher", "init", False)
+    cond = lowered("An object of Cipher does not invoke init.", registry)
     assert isinstance(cond, Not)
     exists = cond.inner
     assert isinstance(exists, Exists)
     assert exists.decl == Decl("init", "MethodAccess")
+    assert exists.body == lowered("An object of Cipher invokes init.", registry)
     ir = lower(parse_text("An object of Cipher does not invoke init."), registry)
     assert ir.decls == ()
 
 
-def test_negative_invocation_no_free_variables():
-    assert free_variables(lower_invocation("Cipher", "init", False)) == set()
+def test_negative_invocation_no_free_variables(registry):
+    assert free_variables(lowered("An object of Cipher does not invoke init.", registry)) == set()
 
 
-def test_positive_invocation_getinstance():
-    left = lower_invocation("Cipher", "getInstance", True).items[0]
+def test_positive_invocation_getinstance(registry):
+    left = lowered("An object of Cipher invokes getInstance.", registry).items[0]
     assert left == Eq(
         Chain(Var("getInstance"), ("getMethod()", "getName()")), Lit("getInstance")
     )
@@ -50,13 +57,9 @@ def test_invocation_injective_on_inputs(registry):
         seen.add(ir)
 
 
-def test_invocation_requires_names():
-    with pytest.raises(ValueError):
-        lower_invocation("", "init", True)
-
-
-def test_ordering_conjunction():
-    cond = lower_ordering("getInstance", "init")
+def test_ordering_conjunction(registry):
+    declared = ("getInstance", "init")
+    cond = lowered("getInstance precedes init.", registry, declared)
     assert cond == And(
         (
             Eq(
@@ -69,17 +72,18 @@ def test_ordering_conjunction():
             ),
         )
     )
+    assert lowered("init follows getInstance.", registry, declared) == cond
 
 
-def test_ordering_self_is_emitted_as_written():
-    cond = lower_ordering("a", "a")
+def test_ordering_self_is_emitted_as_written(registry):
+    cond = lowered("a precedes a.", registry, ("a",))
     line_cmp = cond.items[1]
     assert isinstance(line_cmp, Lt)
     assert line_cmp.left == line_cmp.right  # unsatisfiable, by design
 
 
-def test_signature_two_types():
-    cond = lower_signature("getInstance", ("int", "Certificate"), True)
+def test_signature_two_types(registry):
+    cond = lowered('signature of getInstance is ["int", "Certificate"].', registry, ("getInstance",))
     assert cond.items[0] == Eq(
         Count(Chain(Var("getInstance"), ("getAnArgument()",))), Lit(2)
     )
@@ -93,8 +97,9 @@ def test_signature_two_types():
     )
 
 
-def test_signature_three_types_third_slot():
-    cond = lower_signature("getInstance", ("int", "Certificate", "SecureRandom"), True)
+def test_signature_three_types_third_slot(registry):
+    text = 'signature of getInstance is ["int", "Certificate", "SecureRandom"].'
+    cond = lowered(text, registry, ("getInstance",))
     assert cond.items[0].right == Lit(3)
     assert cond.items[3] == Eq(
         Chain(Var("getInstance"), ("getArgument(2)", "getType()", "toString()")),
@@ -102,19 +107,14 @@ def test_signature_three_types_third_slot():
     )
 
 
-def test_signature_conjunct_count_is_n_plus_one():
+def test_signature_conjunct_count_is_n_plus_one(registry):
     for n in range(1, 6):
-        types = tuple(f"T{i}" for i in range(n))
-        cond = lower_signature("m", types, True)
+        types = ", ".join(f'"T{i}"' for i in range(n))
+        cond = lowered(f"signature of m is [{types}].", registry, ("m",))
         assert len(cond.items) == n + 1
 
 
-def test_signature_negative_wraps():
-    cond = lower_signature("m", ("int",), False)
+def test_signature_negative_wraps(registry):
+    cond = lowered('signature of m is not ["int"].', registry, ("m",))
     assert isinstance(cond, Not)
     assert len(cond.inner.items) == 2
-
-
-def test_signature_rejects_empty_list():
-    with pytest.raises(ValueError):
-        lower_signature("m", (), True)
