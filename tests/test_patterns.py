@@ -3,6 +3,9 @@ ordering and signature."""
 
 from __future__ import annotations
 
+import pytest
+
+from nsra.errors import EmptyList
 from nsra.ir import And, Chain, Count, Decl, Eq, Exists, Lit, Lt, Not, Var
 from nsra.lowering import _lower_statement, lower
 from nsra.parser import parse_text
@@ -112,6 +115,14 @@ def test_signature_conjunct_count_is_n_plus_one(registry):
         types = ", ".join(f'"T{i}"' for i in range(n))
         cond = lowered(f"signature of m is [{types}].", registry, ("m",))
         assert len(cond.items) == n + 1
+
+
+def test_signature_rejects_empty_list(registry):
+    # The parser's EmptyList is the one guard: an empty signature list never
+    # reaches lowering, in either polarity.
+    for text in ("signature of m is [].", "signature of m is not []."):
+        with pytest.raises(EmptyList, match="empty list"):
+            lower(parse_text(f"An object of C invokes m. {text}"), registry)
 
 
 def test_signature_negative_wraps(registry):
