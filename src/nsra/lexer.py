@@ -1,7 +1,9 @@
 """Tokenizer and paraphrase normalizer for the controlled-English query language.
 
 ``tokenize`` segments raw text into tokens whose spans, with only
-whitespace between them, cover the input.  ``normalize`` then rewrites the
+whitespace between them, cover the input.  It is one regex scan that skips
+the whitespace before each token as part of the token's match, so the scan
+makes one match per token.  ``normalize`` then rewrites the
 token stream into the canonical surface form the parser understands:
 contractions expanded, possessives turned into ``of`` phrases, and articles
 dropped.
@@ -26,6 +28,12 @@ class TokenKind(Enum):
     COMMA = auto()         # ,
     PERIOD = auto()        # .
     POSSESSIVE = auto()    # 's
+
+
+# The kinds as module names, in definition order: on CPython 3.11 every
+# ``TokenKind.X`` goes through ``EnumType.__getattr__``'s attribute hook, which
+# costs several times a global lookup in the per-token loops.
+WORD, ORDINAL, STRING, INT, IDENT, LIST_OPEN, LIST_CLOSE, COMMA, PERIOD, POSSESSIVE = TokenKind
 
 
 class Token(Record):
@@ -99,18 +107,23 @@ _ARTICLE_STOPPERS = frozenset(
     {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
 )
 
-# One alternative per token kind, tried in order, as in the "Writing a
-# Tokenizer" recipe of the ``re`` docs; a group named after a ``TokenKind``
-# yields that kind, and a ``name`` is classified by ``_classify``.  A string
-# opens with any of ``" “ ”`` and closes at the first ``"`` or ``”``.  An
-# apostrophe before ``s`` and a non-word character is the possessive marker;
-# any other apostrophe between word characters makes one contraction WORD
-# (``doesn't``).  ``error`` takes any other character, so ``²`` is illegal
-# where ``\d`` reads only decimal digits.
+# Each match is a skip prefix of whitespace, then one token: one alternative
+# per token kind, tried in order, as in the "Writing a Tokenizer" recipe of
+# the ``re`` docs.  A group named after a ``TokenKind`` yields that kind,
+# except that ``_classify`` finds the keywords and ordinals among the
+# ``IDENT`` words; ``error`` yields none.  Every group spans its token's
+# source text; a string opens with any of ``" “ ”`` and closes at the first
+# ``"`` or ``”``, and its group keeps both quotes.  An apostrophe before
+# ``s`` and a non-word character is the possessive marker; any other
+# apostrophe between word characters makes one contraction WORD
+# (``doesn't``).  ``error`` takes any other non-space character, so ``²`` is
+# illegal where ``\d`` reads only decimal digits.  The token is optional, so a
+# match never backtracks into the whitespace; it is empty only at the end of
+# the text, which ends the scan.
 _SCANNER = re.compile(
     r"""
-      (?P<space>\s+)
-    | ["“”](?P<STRING>[^"”]*)["”]
+    \s*(?:
+      (?P<STRING>["“”][^"”]*["”])
     | (?P<LIST_OPEN>\[)
     | (?P<LIST_CLOSE>\])
     | (?P<COMMA>,)
@@ -118,22 +131,21 @@ _SCANNER = re.compile(
     | (?P<POSSESSIVE>['’][sS](?![A-Za-z0-9_]))
     | (?P<INT>\d+)
     | (?P<WORD>[A-Za-z0-9_]+['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)
-    | (?P<name>[A-Za-z0-9_]+)
-    | (?P<error>.)
+    | (?P<IDENT>[A-Za-z0-9_]+)
+    | (?P<error>\S)
+    )?
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
-_GROUP_KINDS = TokenKind.__members__
-_WORD_KINDS = (TokenKind.WORD, TokenKind.ORDINAL, TokenKind.IDENT)
+_GROUP_KINDS = {i: TokenKind.__members__.get(name) for name, i in _SCANNER.groupindex.items()}  # by group number
+_WORD_KINDS = (WORD, ORDINAL, IDENT)
+
+# The kind of every word that is not an identifier, by its case-folded text.
+_KINDS = {**dict.fromkeys(STRUCTURE_WORDS, WORD), **dict.fromkeys(ORDINALS, ORDINAL)}
 
 
 def _classify(word: str) -> TokenKind:
-    lower = word.lower()
-    if lower in ORDINALS:
-        return TokenKind.ORDINAL
-    if lower in STRUCTURE_WORDS:
-        return TokenKind.WORD
-    return TokenKind.IDENT
+    return _KINDS.get(word.lower(), IDENT)
 
 
 def _lex_error(text: str, start: int) -> SourceError:
@@ -155,13 +167,16 @@ def tokenize(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     for m in _SCANNER.finditer(text):
-        group = m.lastgroup
-        if group == "space":
-            continue
-        if group == "error":
-            raise _lex_error(text, m.start())
-        value = m[group]
-        tokens.append(Token(_GROUP_KINDS.get(group) or _classify(value), value, Span(*m.span())))
+        group = m.lastindex
+        if group is None:  # only whitespace is left
+            break
+        start, end = m.span(group)
+        kind, value = _GROUP_KINDS[group], text[start:end]
+        if kind is None:
+            raise _lex_error(text, start)
+        if kind is IDENT:
+            kind = _classify(value)
+        tokens.append(Token(kind, value[1:-1] if kind is STRING else value, Span(start, end)))
     return tokens
 
 
@@ -185,7 +200,7 @@ def normalize(tokens: list[Token]) -> list[Token]:
     """
     out: list[Token] = []
     for tok in tokens:
-        if tok.kind is TokenKind.WORD and tok.lowered() in ("doesn't", "doesn’t"):
+        if tok.kind is WORD and tok.lowered() in ("doesn't", "doesn’t"):
             out.append(_word(tok, "does"))
             out.append(_word(tok, "not"))
         else:
@@ -195,12 +210,12 @@ def normalize(tokens: list[Token]) -> list[Token]:
 
     result: list[Token] = []
     for tok, nxt in zip(out, [*out[1:], None]):
-        if tok.kind is TokenKind.WORD and tok.lowered() in ARTICLES:
+        if tok.kind is WORD and tok.lowered() in ARTICLES:
             if nxt is not None and nxt.kind in _WORD_KINDS and nxt.lowered() not in _ARTICLE_STOPPERS:
                 continue
             # An article not determining a noun phrase is really an
             # identifier that happens to be spelled "a" (as in "a is b.").
-            tok = Token(TokenKind.IDENT, tok.text, tok.span)
+            tok = Token(IDENT, tok.text, tok.span)
         result.append(tok)
     return result
 
@@ -218,18 +233,18 @@ def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
     i, n = 0, len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind is not TokenKind.POSSESSIVE:
+        if tok.kind is not POSSESSIVE:
             out.append(tok)
             i += 1
             continue
         if len(out) != end:
-            if not out or out[-1].kind not in (TokenKind.IDENT, TokenKind.WORD):
+            if not out or out[-1].kind not in (IDENT, WORD):
                 raise IllegalCharacter("possessive marker without a possessor", tok.span)
             start = len(out) - 1
         j = i + 1
-        if j < n and tokens[j].kind is TokenKind.ORDINAL:
+        if j < n and tokens[j].kind is ORDINAL:
             j += 1
-        if j >= n or tokens[j].kind not in (TokenKind.IDENT, TokenKind.WORD):
+        if j >= n or tokens[j].kind not in (IDENT, WORD):
             raise IllegalCharacter("possessive marker without an attribute", tok.span)
         out[start:] = [*tokens[i + 1 : j + 1], _word(tok, "of"), *out[start:]]
         end = len(out)

@@ -13,6 +13,7 @@ from .errors import (
     DuplicateDeclaration,
     MissingOrdinal,
     OrdinalNotAllowed,
+    SourceError,
     UndeclaredSubject,
 )
 from .ir import (
@@ -138,12 +139,11 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
                 if known is not None and known != stmt.class_name:
                     raise DuplicateDeclaration(stmt.method_name)
                 invocation_class[stmt.method_name] = stmt.class_name
-                add(Decl(stmt.method_name, reg.ql_type_names["method access"]))
+                add(Decl(stmt.method_name, _ql_type("method access", reg)))
         elif isinstance(stmt, ast.Basic) and isinstance(stmt.rhs, ast.TypeAssumption):
             if not isinstance(stmt.lhs, ast.Ident):
                 raise UndeclaredSubject(ast.exp_to_text(stmt.lhs))
-            ql_type = reg.ql_type_names.get(stmt.rhs.noun, stmt.rhs.noun)
-            add(Decl(stmt.lhs.name, ql_type))
+            add(Decl(stmt.lhs.name, _ql_type(stmt.rhs.noun, reg)))
         elif isinstance(stmt, (ast.AndStmt, ast.OrStmt)):
             for item in stmt.items:
                 walk(item)
@@ -158,6 +158,12 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
     for stmt in query.statements:
         walk(stmt)
     return list(decls.values())
+
+
+def _ql_type(noun: str, reg: Registry) -> str:  # the QL class the profile's ``[types]`` gives a type noun
+    if noun not in reg.ql_type_names:
+        raise SourceError(f"type noun {noun!r} has no QL class: the profile has no [types] entry {noun!r}")
+    return reg.ql_type_names[noun]
 
 
 def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str]) -> BoolExpr:
@@ -186,7 +192,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         )
         if stmt.positive:
             return cond
-        return Not(Exists(Decl(stmt.method_name, reg.ql_type_names["method access"]), cond))
+        return Not(Exists(Decl(stmt.method_name, _ql_type("method access", reg)), cond))
     if isinstance(stmt, ast.OrderingPattern):
         # Same callable, strictly smaller end line, so same-line invocations
         # never satisfy an ordering; ``a precedes a`` is emitted as the

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Record
-from .lexer import TokenKind, normalize, tokenize
+from .lexer import IDENT, INT, ORDINAL, STRING, WORD, normalize, tokenize
 from .qlgen import QlReader
 from .registry import Registry, builtin_crypto_profile
 
@@ -84,13 +84,13 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
     registry = registry or builtin_crypto_profile()
     terms: list[tuple[str, object]] = []
     for tok in normalize(tokenize(query_text)):
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is STRING:
             terms.append(("str", tok.text))
-        elif tok.kind is TokenKind.INT:
+        elif tok.kind is INT:
             terms.append(("int", tok.int_value()))
-        elif tok.kind is TokenKind.IDENT and tok.lowered() not in registry.rules:
+        elif tok.kind is IDENT and tok.lowered() not in registry.rules:
             terms.append(("id", tok.text))
-        elif tok.kind in (TokenKind.WORD, TokenKind.ORDINAL, TokenKind.IDENT):
+        elif tok.kind in (WORD, ORDINAL, IDENT):
             terms.append(("op", tok.lowered()))
         else:
             terms.append((tok.kind.name, tok.text))

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
-from .lexer import Token, TokenKind, normalize, ordinal_value, tokenize
+from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, STRING, WORD, Token, TokenKind
+from .lexer import normalize, ordinal_value, tokenize
 from .syntax import (
     AndStmt,
     Basic,
@@ -41,8 +42,13 @@ MAX_NESTING = 100
 
 
 class _Cursor:
+    """A position in a normalized token stream.  ``words`` folds each word once per parse: the
+    lowered text of each WORD or IDENT token, ``""`` for any other token, then ``""`` sentinels
+    for the four tokens a probe may look past the end.  A word probe is then one list index."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.words = [t.text.lower() if t.kind in (WORD, IDENT) else "" for t in tokens] + [""] * 4
         self.pos = 0
         self.depth = 0  # nested phrases open at ``pos``
 
@@ -50,9 +56,11 @@ class _Cursor:
         idx = self.pos + offset
         return self.tokens[idx] if idx < len(self.tokens) else None
 
+    def word(self, offset: int = 0) -> str:  # "" for a token that is no word, and past the end
+        return self.words[self.pos + offset]
+
     def at_word(self, *words: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.kind in (TokenKind.WORD, TokenKind.IDENT) and tok.lowered() in words
+        return self.words[self.pos + offset] in words
 
     def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
         tok = self.peek(offset)
@@ -120,12 +128,12 @@ def _sentence(cur: _Cursor) -> Statement:
         stmt: Statement = Necessity(inner)
     else:
         stmt = _or_chain(cur)
-    cur.expect_kind(TokenKind.PERIOD, "'.'")
+    cur.expect_kind(PERIOD, "'.'")
     return stmt
 
 
 def _at_phrase(cur: _Cursor, *words: str) -> bool:
-    return all(cur.at_word(w, offset=i) for i, w in enumerate(words))
+    return cur.words[cur.pos : cur.pos + len(words)] == [*words]
 
 
 def _or_chain(cur: _Cursor) -> Statement:
@@ -172,7 +180,7 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
         cur.descend()
         cur.take()
         cond = _or_chain(cur)
-        if cur.at_kind(TokenKind.COMMA):  # tolerated before "then"
+        if cur.at_kind(COMMA):  # tolerated before "then"
             cur.take()
         cur.expect_word("then")
         then = _and_chain(cur)
@@ -188,7 +196,7 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
         return _signature(cur)
     if cur.at_word("is"):
         return _elliptical_signature(cur, previous)
-    if cur.at_kind(TokenKind.IDENT) and cur.at_word("precedes", "follows", offset=1):
+    if cur.at_kind(IDENT) and cur.at_word("precedes", "follows", offset=1):
         return _ordering(cur)
     return _basic(cur)
 
@@ -196,7 +204,7 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
 def _invocation(cur: _Cursor) -> Statement:
     cur.expect_word("object")
     cur.expect_word("of")
-    class_name = cur.expect_kind(TokenKind.IDENT, "class name").text
+    class_name = cur.expect_kind(IDENT, "class name").text
     if cur.at_word("invokes"):
         cur.take()
         positive = True
@@ -205,14 +213,14 @@ def _invocation(cur: _Cursor) -> Statement:
         cur.expect_word("not")
         cur.expect_word("invoke")
         positive = False
-    method = cur.expect_kind(TokenKind.IDENT, "method name").text
+    method = cur.expect_kind(IDENT, "method name").text
     return InvocationPattern(class_name, method, positive)
 
 
 def _ordering(cur: _Cursor) -> Statement:
     left = cur.take().text
     verb = cur.take().lowered()
-    right = cur.expect_kind(TokenKind.IDENT, "method name").text
+    right = cur.expect_kind(IDENT, "method name").text
     if verb == "follows":
         return OrderingPattern(before=right, after=left, direction="follows")
     return OrderingPattern(before=left, after=right, direction="precedes")
@@ -221,7 +229,7 @@ def _ordering(cur: _Cursor) -> Statement:
 def _signature(cur: _Cursor) -> Statement:
     cur.expect_word("signature")
     cur.expect_word("of")
-    return _signature_rest(cur, cur.expect_kind(TokenKind.IDENT, "method name").text)
+    return _signature_rest(cur, cur.expect_kind(IDENT, "method name").text)
 
 
 def _elliptical_signature(cur: _Cursor, previous: Statement | None) -> Statement:
@@ -278,13 +286,18 @@ def _require_non_literal(lhs: Exp, first: Token) -> Exp:
     return lhs
 
 
+def _of_subject(cur: _Cursor) -> Exp:  # what an attribute is of: a literal has no attributes
+    first = cur.peek()
+    return _require_non_literal(_exp(cur), first)
+
+
 def _type_noun(cur: _Cursor) -> str | None:
     for words, noun in _TYPE_NOUNS.items():
         if _at_phrase(cur, *words):
             after = cur.peek(len(words))
             # "method access" must not swallow an attribute use of "method".
-            if after is None or after.kind in (TokenKind.PERIOD, TokenKind.COMMA) or (
-                after.kind is TokenKind.WORD and after.lowered() in ("and", "or", "then")
+            if after is None or after.kind in (PERIOD, COMMA) or cur.at_word(
+                "and", "or", "then", offset=len(words)
             ):
                 for _ in words:
                     cur.take()
@@ -296,27 +309,27 @@ def _literal(cur: _Cursor) -> Literal:
     tok = cur.peek()
     if tok is None:
         raise cur.error("a literal")
-    if tok.kind is TokenKind.STRING:
+    if tok.kind is STRING:
         cur.take()
         return Literal(tok.text)
-    if tok.kind is TokenKind.INT:
+    if tok.kind is INT:
         cur.take()
         return Literal(tok.int_value())
     raise cur.error("a string or integer literal")
 
 
 def _literal_list(cur: _Cursor, item: Callable[[_Cursor], Literal] = _literal) -> tuple[Literal, ...]:
-    open_tok = cur.expect_kind(TokenKind.LIST_OPEN, "'['")
+    open_tok = cur.expect_kind(LIST_OPEN, "'['")
     items: list[Literal] = []
-    if cur.at_kind(TokenKind.LIST_CLOSE):
+    if cur.at_kind(LIST_CLOSE):
         close = cur.take()
         raise EmptyList("empty list", Span(open_tok.span.start, close.span.end))
     while True:
         items.append(item(cur))
-        if cur.at_kind(TokenKind.COMMA):
+        if cur.at_kind(COMMA):
             cur.take()
             continue
-        cur.expect_kind(TokenKind.LIST_CLOSE, "']'")
+        cur.expect_kind(LIST_CLOSE, "']'")
         return tuple(items)
 
 
@@ -324,39 +337,34 @@ def _exp(cur: _Cursor) -> Exp:
     tok = cur.peek()
     if tok is None:
         raise cur.error("an expression")
-    if tok.kind in (TokenKind.STRING, TokenKind.INT):
+    if tok.kind in (STRING, INT):
         return _literal(cur)
-    if tok.kind is TokenKind.ORDINAL:
+    if tok.kind is ORDINAL:
         cur.descend()
         cur.take()
         value = ordinal_value(tok.text)
         assert value is not None
-        attr = cur.peek()
-        if attr is None or attr.kind not in (TokenKind.IDENT, TokenKind.WORD):
+        attr = cur.word()
+        if not attr:
             raise cur.error("attribute word")
         cur.take()
         cur.expect_word("of")
-        inner = _exp(cur)
+        inner = _of_subject(cur)
         cur.depth -= 1
-        return Prefixed(attr.lowered(), value, inner)
-    if tok.kind in (TokenKind.IDENT, TokenKind.WORD):
+        return Prefixed(attr, value, inner)
+    word = cur.word()
+    if word:
         # Adjective position: word before "attribute of" must be an ordinal.
-        nxt = cur.peek(1)
-        if (
-            nxt is not None
-            and nxt.kind in (TokenKind.IDENT, TokenKind.WORD)
-            and cur.at_word("of", offset=2)
-            and nxt.lowered() != "of"
-        ):
+        if cur.word(1) not in ("", "of") and cur.at_word("of", offset=2):
             raise UnknownOrdinal(tok.text, tok.span)
         if cur.at_word("of", offset=1):
             cur.descend()
             cur.take()
             cur.take()  # of
-            inner = _exp(cur)
+            inner = _of_subject(cur)
             cur.depth -= 1
-            return Prefixed(tok.lowered(), None, inner)
-        if tok.kind is TokenKind.IDENT:
+            return Prefixed(word, None, inner)
+        if tok.kind is IDENT:
             cur.take()
             return Ident(tok.text)
     raise cur.error("an expression")

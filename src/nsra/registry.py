@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
-from .lexer import _SCANNER, TokenKind, _classify
+from .lexer import _SCANNER, ORDINAL, _classify
 from .parser import _TYPE_NOUNS
 from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, escape_string
 
@@ -164,8 +164,8 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
 def _is_word(text: str) -> bool:
     """True for one word of the query language that is not an ordinal: ``text`` is one token as
     ``tokenize`` scans and classifies it."""
-    m = _SCANNER.match(text)
-    return m.end() == len(text) and m.lastgroup in ("WORD", "name") and _classify(text) is not TokenKind.ORDINAL
+    m = _SCANNER.match(text)  # the match may start with whitespace, the word may not
+    return m.lastgroup in ("WORD", "IDENT") and m.span(m.lastgroup) == (0, len(text)) and _classify(text) is not ORDINAL
 
 
 def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:

@@ -24,6 +24,7 @@ from nsra.ir import (
     Lt,
     Not,
     Or,
+    TRUE,
     Var,
 )
 from nsra.lowering import apply_necessity, desugar_implication, expand_membership, lower
@@ -32,7 +33,7 @@ from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql
 from nsra.registry import builtin_crypto_profile
 from conftest import golden_text
-from truth_table import assignments, atoms, evaluate, free_variables
+from truth_table import atoms, free_variables, truth_vector
 
 REGISTRY = builtin_crypto_profile()
 
@@ -211,24 +212,30 @@ def test_criterion_08_logic_properties_brute_force():
         p = _random_tree(rng, atom_pool, 4)
         q = _random_tree(rng, atom_pool, 4)
         cond = desugar_implication(p, q)
-        for env in assignments(atoms(And((p, q)))):
-            want = (not evaluate(p, env)) or evaluate(q, env)
-            assert evaluate(cond, env) == want
+        shared = atoms(And((p, q)))
+        everything, p_true, q_true = (truth_vector(e, shared) for e in (TRUE, p, q))
+        assert truth_vector(cond, shared) == ~p_true & everything | q_true
 
     for _ in range(333):  # (b) necessity
         constraints = [
             _random_tree(rng, atom_pool, 3) for _ in range(rng.randint(1, 4))
         ]
         cond = apply_necessity(constraints)
-        for env in assignments(atoms(And(tuple(constraints)))):
-            want = any(not evaluate(c, env) for c in constraints)
-            assert evaluate(cond, env) == want
+        shared = atoms(And(tuple(constraints)))
+        everything = truth_vector(TRUE, shared)
+        want = 0
+        for c in constraints:
+            want |= ~truth_vector(c, shared) & everything
+        assert truth_vector(cond, shared) == want
 
     for _ in range(333):  # (c) membership
         items = [Lit(f"v{i}") for i in range(rng.randint(1, 6))]
         cond = expand_membership(Var("x"), items)
-        for env in assignments(atoms(cond)):
-            assert evaluate(cond, env) == any(env[a] for a in atoms(cond))
+        shared = atoms(cond)
+        want = 0
+        for a in shared:
+            want |= truth_vector(a, shared)
+        assert truth_vector(cond, shared) == want
 
     assert time.perf_counter() - start < 10.0
 

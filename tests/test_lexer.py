@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsra.errors import IllegalCharacter, SourceError, Span, UnterminatedString
+from nsra.errors import IllegalCharacter, QuerySyntaxError, SourceError, Span, UnterminatedString, format_diagnostic
 from nsra.lexer import Token, TokenKind, normalize, tokenize
+from nsra.parser import parse_text
+from nsra.registry import _is_word
 
 
 def kinds(tokens):
@@ -53,13 +55,18 @@ _FRAGMENTS = st.sampled_from(
     ["init", "first", "the", "a", "is", "of", "'s", "’S", "doesn't", "x1", "42", "٣", ",", ".", "[", "]"]
     + ['"RSA"', "“AES”", '""', "'", "é", "²"]
 )
-_SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "\u00a0"])
+_SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "\u00a0", "\u2003", " \r\n "])
 
 
-@given(st.lists(st.tuples(_FRAGMENTS, _SEPARATORS)).map(lambda parts: "".join(f + sep for f, sep in parts)))
-@example('It is necessary that init\'s first argument is in ["a", "b"].')
+@given(_SEPARATORS, st.lists(st.tuples(_FRAGMENTS, _SEPARATORS)))
+@example("", [('It is necessary that init\'s first argument is in ["a", "b"].', "")])
+@example(" \t", [("“AES”", "\u2003 "), ("x", "\u00a0\n")])
 @settings(max_examples=300, deadline=None)
-def test_spans_reconstruct_source(source):
+def test_spans_reconstruct_source(lead, parts):
+    """Spans increase and do not overlap, only whitespace lies before,
+    between and after the tokens, and each span covers its token's text (a
+    string's with its quotes)."""
+    source = lead + "".join(f + sep for f, sep in parts)
     try:
         tokens = tokenize(source)
     except SourceError as err:
@@ -70,7 +77,10 @@ def test_spans_reconstruct_source(source):
         assert end <= t.span.start < t.span.end
         assert source[end : t.span.start].strip() == ""
         covered = source[t.span.start : t.span.end]
-        assert t.text == (covered[1:-1] if t.kind is TokenKind.STRING else covered)
+        if t.kind is TokenKind.STRING:
+            assert covered[0] in "\"“”" and covered[-1] in "\"”" and covered[1:-1] == t.text
+        else:
+            assert covered == t.text
         end = t.span.end
     assert source[end:].strip() == ""
 
@@ -105,6 +115,57 @@ def test_integer_literal():
     tokens = tokenize("x is 42.")
     assert tokens[2].kind is TokenKind.INT
     assert tokens[2].text == "42"
+
+
+# --- whitespace around tokens ----------------------------------------------
+
+
+def spans(tokens):
+    return [(t.span.start, t.span.end) for t in tokens]
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\n", "\u00a0", "\u2003", " \r\n\t"])
+def test_whitespace_before_between_and_after_tokens(space):
+    w = len(space)
+    tokens = tokenize(f'{space}x{space}is{space}"RSA"{space}.{space}')
+    assert texts(tokens) == ["x", "is", "RSA", "."]
+    assert spans(tokens) == [(w, w + 1), (2 * w + 1, 2 * w + 3), (3 * w + 3, 3 * w + 8), (4 * w + 8, 4 * w + 9)]
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t\n", "\u00a0\u2003", " \r\n "])
+def test_whitespace_only_query(text):
+    assert tokenize(text) == []
+    with pytest.raises(QuerySyntaxError, match="empty query") as info:
+        parse_text(text)
+    assert info.value.span == Span(0, 0)
+
+
+@pytest.mark.parametrize(
+    "text, error, span, message",
+    [
+        ('x is \t  "RSA', UnterminatedString, (8, 12), "unterminated string literal"),
+        ("x is\n\u2003;", IllegalCharacter, (6, 7), "illegal character ';'"),
+        ("x\u00a0\n  ' is", IllegalCharacter, (5, 6), "stray \"'\""),
+        ("\n\t\t’", IllegalCharacter, (3, 4), "stray '’'"),
+    ],
+)
+def test_errors_after_whitespace_point_at_the_character(text, error, span, message):
+    with pytest.raises(error) as info:
+        tokenize(text)
+    assert (info.value.span.start, info.value.span.end) == span
+    assert info.value.message == message
+
+
+def test_error_columns_count_tabs_and_newlines_as_one_character():
+    text = "An object of Cipher invokes init.\n\t\u00a0The first argument of init is ;"
+    with pytest.raises(IllegalCharacter) as info:
+        tokenize(text)
+    assert format_diagnostic("q.nsra", text, info.value) == "q.nsra:2:33: error: illegal character ';'"
+
+
+@pytest.mark.parametrize("key", [" name", "name ", "\tname", "name\n", "\u00a0name", " name ", "na me"])
+def test_rule_key_with_whitespace_is_not_a_word(key):
+    assert _is_word("name") and not _is_word(key)
 
 
 # --- normalize ---------------------------------------------------------------

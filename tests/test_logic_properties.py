@@ -13,11 +13,12 @@ from nsra.ir import (
     Lit,
     Not,
     Or,
+    TRUE,
     Var,
     simplify,
 )
 from nsra.lowering import apply_necessity, desugar_implication, expand_membership
-from truth_table import assignments, atoms, evaluate
+from truth_table import assignments, atoms, evaluate, truth_vector
 
 _ATOMS = [Eq(Var(f"a{i}"), Lit(i)) for i in range(10)]
 
@@ -40,19 +41,20 @@ def _trees(max_atoms: int = 10) -> st.SearchStrategy[BoolExpr]:
 def test_implication_matches_truth_table(p, q):
     cond = desugar_implication(p, q)
     shared = atoms(And((p, q)))
-    for env in assignments(shared):
-        implies = (not evaluate(p, env)) or evaluate(q, env)
-        assert evaluate(cond, env) == implies
+    everything, p_true, q_true = (truth_vector(e, shared) for e in (TRUE, p, q))
+    assert truth_vector(cond, shared) == ~p_true & everything | q_true
 
 
 @given(st.lists(_trees(max_atoms=5), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_necessity_violation_semantics(constraints):
     cond = apply_necessity(constraints)
-    shared = atoms(And(tuple(constraints))) or [_ATOMS[0]]
-    for env in assignments(shared):
-        some_violated = any(not evaluate(c, env) for c in constraints)
-        assert evaluate(cond, env) == some_violated
+    shared = atoms(And(tuple(constraints)))
+    everything = truth_vector(TRUE, shared)
+    some_violated = 0
+    for c in constraints:
+        some_violated |= ~truth_vector(c, shared) & everything
+    assert truth_vector(cond, shared) == some_violated
 
 
 @given(st.lists(st.sampled_from(["RSA", "AES", "", "ECB", "42"]), min_size=1, max_size=5))
@@ -63,16 +65,29 @@ def test_membership_matches_any_of(items):
     cond = expand_membership(lhs, lits)
     # Oracle: for every choice of which equalities hold, the disjunction is
     # true iff at least one item matched.
-    for env in assignments(atoms(cond)):
-        assert evaluate(cond, env) == any(env[a] for a in atoms(cond))
+    shared = atoms(cond)
+    any_matched = 0
+    for a in shared:
+        any_matched |= truth_vector(a, shared)
+    assert truth_vector(cond, shared) == any_matched
 
 
 @given(_trees())
 @settings(max_examples=300, deadline=None)
 def test_simplify_preserves_truth_table(tree):
-    simplified = simplify(tree)
-    for env in assignments(atoms(tree)):
-        assert evaluate(simplified, env) == evaluate(tree, env)
+    shared = atoms(tree)
+    assert truth_vector(simplify(tree), shared) == truth_vector(tree, shared)
+
+
+@given(_trees())
+@settings(max_examples=100, deadline=None)
+def test_truth_vector_matches_evaluate(tree):
+    """The bit-parallel oracle the tests above use agrees with the
+    assignment-at-a-time one on every row."""
+    shared = atoms(tree)
+    vector = truth_vector(tree, shared)
+    for k, env in enumerate(assignments(shared)):
+        assert vector >> k & 1 == evaluate(tree, env)
 
 
 @given(_trees())

@@ -7,6 +7,7 @@ from nsra.errors import (
     DuplicateDeclaration,
     MissingOrdinal,
     OrdinalNotAllowed,
+    SourceError,
     UndeclaredSubject,
     UnknownAttribute,
 )
@@ -31,9 +32,9 @@ from nsra.lowering import (
 )
 from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql, render
-from nsra.registry import load_profile
+from nsra.registry import Registry, load_profile
 from conftest import golden_text
-from truth_table import assignments, atoms, evaluate
+from truth_table import atoms, truth_vector
 
 
 def lower_text(text: str, registry):
@@ -133,8 +134,8 @@ def test_desugar_implication_shape():
 def test_desugar_implication_truth_table():
     p, q = _eq("p"), _eq("q")
     cond = desugar_implication(p, q)
-    for env in assignments([p, q]):
-        assert evaluate(cond, env) == ((not env[p]) or env[q])
+    # Rows 0..3 assign (p, q) = (F, F), (T, F), (F, T), (T, T).
+    assert truth_vector(cond, [p, q]) == 0b1101
 
 
 def test_desugar_vacuous_antecedent_simplifies_away():
@@ -155,8 +156,8 @@ def test_apply_necessity_two():
 def test_apply_necessity_three_truth_table():
     constraints = [_eq(n) for n in "abc"]
     cond = apply_necessity(constraints)
-    for env in assignments(constraints):
-        assert evaluate(cond, env) == (not all(env[c] for c in constraints))
+    # Only the last row, where all three hold, violates nothing.
+    assert truth_vector(cond, constraints) == 0b01111111
 
 
 def test_expression_equality_compares_strings_when_either_side_is_one(registry):
@@ -304,9 +305,7 @@ def test_splitting_equivalence(registry):
     cond_b = lower_text(split, registry).condition
     shared = atoms(cond_a)
     assert {repr(a) for a in shared} == {repr(a) for a in atoms(cond_b)}
-    for env_a in assignments(shared):
-        env_b = {a: env_a[a] for a in shared}
-        assert evaluate(cond_a, env_a) == evaluate(cond_b, env_b)
+    assert truth_vector(cond_a, shared) == truth_vector(cond_b, shared)
 
 
 def test_simplify_preserves_meaning_on_task_conditions(registry):
@@ -314,8 +313,8 @@ def test_simplify_preserves_meaning_on_task_conditions(registry):
     on every assignment."""
     for name in ("task1", "task2", "task3"):
         cond = lower_text(golden_text(f"{name}.nsra"), registry).condition
-        for env in assignments(atoms(cond)):
-            assert evaluate(simplify(cond), env) == evaluate(cond, env)
+        shared = atoms(cond)
+        assert truth_vector(simplify(cond), shared) == truth_vector(cond, shared)
 
 
 def test_concurrent_compilation_is_deterministic(registry):
@@ -354,6 +353,23 @@ def test_invocation_subject_may_be_assumed_a_method_access(registry):
     text = "An object of Cipher invokes init. init is a method access."
     assert lower_text(text, load_profile(METHOD_CALL)).decls == (Decl("init", "MethodCall"),)
     assert lower_text(text, registry).decls == (Decl("init", "MethodAccess"),)
+
+
+@pytest.mark.parametrize(
+    "text, noun",
+    [
+        ("An object of Cipher invokes init.", "method access"),  # the invocation's declaration
+        ("x is a method access.", "method access"),  # a type assumption
+        ("k is a class.", "class"),
+        ("x is a variable. An object of Cipher does not invoke init.", "method access"),  # the existential
+    ],
+)
+def test_type_noun_without_a_types_entry_is_a_source_error(text, noun):
+    # Neither the built-in profile nor its [types] section is under this one.
+    reg = load_profile("name = getName()\n[types]\nvariable = Variable\n", base=Registry())
+    with pytest.raises(SourceError) as info:
+        lower_text(text, reg)
+    assert info.value.message == f"type noun {noun!r} has no QL class: the profile has no [types] entry {noun!r}"
 
 
 @pytest.mark.parametrize(

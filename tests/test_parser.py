@@ -236,8 +236,17 @@ def test_error_spans_inside_input():
         ('An object of C invokes m.\n"x" is in ["y"].', "a literal cannot be the subject", (2, 1)),
         ('An object of C invokes m.\n"x" is a variable.', "a literal cannot be the subject", (2, 1)),
         ("An object of C invokes m.\nx is not a variable.", "cannot be negated", (2, 6)),
+        ('An object of C invokes m.\nthe type of the second argument of "RSA" is "K".', "a literal cannot", (2, 36)),
+        ('An object of C invokes m.\nthe name of "x" is "y".', "a literal cannot be the subject", (2, 13)),
     ],
-    ids=["integer-type-name", "literal-list-subject", "literal-type-subject", "negated-type"],
+    ids=[
+        "integer-type-name",
+        "literal-list-subject",
+        "literal-type-subject",
+        "negated-type",
+        "attribute-of-literal",
+        "name-of-literal",
+    ],
 )
 def test_error_points_at_offending_token(text, message, line_col):
     with pytest.raises(QuerySyntaxError) as info:

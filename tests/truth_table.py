@@ -1,6 +1,7 @@
 """Truth-table oracle over the IR's boolean layer, for the logic tests:
 the comparison atoms of an expression, its value under an assignment of
-them, every assignment, and its free variables."""
+them, every assignment, its whole truth table as one integer, and its free
+variables."""
 
 from __future__ import annotations
 
@@ -53,6 +54,43 @@ def assignments(atom_list: list[BoolExpr]) -> Iterator[dict[BoolExpr, bool]]:
     n = len(atom_list)
     for bits in range(1 << n):
         yield {atom: bool(bits >> i & 1) for i, atom in enumerate(atom_list)}
+
+
+def truth_vector(e: BoolExpr, atom_list: list[BoolExpr]) -> int:
+    """``e``'s truth table over ``atom_list`` as a 2^n-bit integer: bit k is
+    ``evaluate(e, a)`` for the k-th assignment ``a`` of ``assignments``.
+
+    Atom i's column has bit k set when bit i of k is, so every connective is
+    one ``&``, ``|`` or ``~`` over whole columns.  Exists nodes are opaque
+    atoms, as in ``evaluate``.
+    """
+    rows = 1 << len(atom_list)
+    everything = (1 << rows) - 1
+    columns = {}
+    for i, atom in enumerate(atom_list):
+        run = 1 << i  # the column repeats 2^i unset bits, then 2^i set bits
+        columns[atom] = everything // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+
+    def vector(node: BoolExpr) -> int:
+        if isinstance(node, TrueExpr):
+            return everything
+        if isinstance(node, (Eq, Lt, Exists)):
+            return columns[node]
+        if isinstance(node, And):
+            out = everything
+            for item in node.items:
+                out &= vector(item)
+            return out
+        if isinstance(node, Or):
+            out = 0
+            for item in node.items:
+                out |= vector(item)
+            return out
+        if isinstance(node, Not):
+            return ~vector(node.inner) & everything
+        raise TypeError(f"cannot evaluate {node!r}")
+
+    return vector(e)
 
 
 def free_variables(e: BoolExpr, bound: frozenset[str] = frozenset()) -> set[str]:
