@@ -11,100 +11,115 @@ turning negated implications into ``p and not q`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from .errors import Record
 
 
 # --- value expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Union[str, int]
+class Lit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str | int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A call chain: base expression followed by rendered call steps, e.g.
     ``Chain(Var("init"), ("getMethod()", "getName()"))``."""
 
-    base: "QlExpr"
-    steps: tuple[str, ...]
+    __slots__ = ("base", "steps")
 
-    def extended(self, steps: tuple[str, ...]) -> "Chain":
+    def __init__(self, base: QlExpr, steps: tuple[str, ...]):
+        self.base, self.steps = base, steps
+
+    def extended(self, steps: tuple[str, ...]) -> Chain:
         return Chain(self.base, self.steps + steps)
 
 
-@dataclass(frozen=True)
-class Count:
-    inner: "QlExpr"
+class Count(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: QlExpr):
+        self.inner = inner
 
 
-QlExpr = Union[Var, Lit, Chain, Count]
+QlExpr = Var | Lit | Chain | Count
 
 
 # --- boolean expressions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: QlExpr
-    right: QlExpr
+class Eq(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: QlExpr, right: QlExpr):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Lt:
-    left: QlExpr
-    right: QlExpr
+class Lt(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: QlExpr, right: QlExpr):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["BoolExpr", ...]
+class And(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[BoolExpr, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["BoolExpr", ...]
+class Or(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[BoolExpr, ...]):
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "BoolExpr"
+class Not(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: BoolExpr):
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class Decl:
-    var_name: str
-    ql_type: str
+class Decl(Record):
+    __slots__ = ("var_name", "ql_type")
+
+    def __init__(self, var_name: str, ql_type: str):
+        self.var_name, self.ql_type = var_name, ql_type
 
 
-@dataclass(frozen=True)
-class Exists:
-    decl: Decl
-    body: "BoolExpr"
+class Exists(Record):
+    __slots__ = ("decl", "body")
+
+    def __init__(self, decl: Decl, body: BoolExpr):
+        self.decl, self.body = decl, body
 
 
-@dataclass(frozen=True)
-class TrueExpr:
-    pass
+class TrueExpr(Record):
+    __slots__ = ()
 
 
 TRUE = TrueExpr()
 
-BoolExpr = Union[Eq, Lt, And, Or, Not, Exists, TrueExpr]
+BoolExpr = Eq | Lt | And | Or | Not | Exists | TrueExpr
 
 
-@dataclass(frozen=True)
-class QueryIR:
-    decls: tuple[Decl, ...]
-    condition: BoolExpr
-    selects: tuple[str, ...]
+class QueryIR(Record):
+    __slots__ = ("decls", "condition", "selects")
+
+    def __init__(self, decls: tuple[Decl, ...], condition: BoolExpr, selects: tuple[str, ...]):
+        self.decls, self.condition, self.selects = decls, condition, selects
 
 
 # --- simplifier --------------------------------------------------------------

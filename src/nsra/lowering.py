@@ -192,6 +192,8 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         )
         if stmt.positive:
             return cond
+        if stmt.method_name in declared:  # the existential would rebind the declared name
+            raise DuplicateDeclaration(stmt.method_name)
         return Not(Exists(Decl(stmt.method_name, _ql_type("method access", reg)), cond))
     if isinstance(stmt, ast.OrderingPattern):
         # Same callable, strictly smaller end line, so same-line invocations

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import Record
 from .lexer import IDENT, INT, ORDINAL, STRING, WORD, normalize, tokenize
@@ -150,17 +149,20 @@ def halstead_ql(ql_text: str) -> HalsteadCounts:
     return HalsteadCounts(len(operators), len(operands), sum(operators.values()), sum(operands.values()))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     """One query's controlled-English counts against its CodeQL counts."""
 
-    vocab_nsra: int
-    vocab_ql: int
-    length_nsra: int
-    length_ql: int
-    reduction_pct: float
-    vocab_reduction_pct: float
-    effort_ratio: float
+    __slots__ = (
+        "vocab_nsra", "vocab_ql", "length_nsra", "length_ql", "reduction_pct", "vocab_reduction_pct", "effort_ratio"
+    )
+
+    def __init__(
+        self, vocab_nsra: int, vocab_ql: int, length_nsra: int, length_ql: int,
+        reduction_pct: float, vocab_reduction_pct: float, effort_ratio: float,
+    ):
+        self.vocab_nsra, self.vocab_ql, self.length_nsra, self.length_ql = vocab_nsra, vocab_ql, length_nsra, length_ql
+        self.reduction_pct, self.vocab_reduction_pct = reduction_pct, vocab_reduction_pct
+        self.effort_ratio = effort_ratio
 
     def to_dict(self) -> dict[str, float | int]:
         return {

@@ -8,7 +8,7 @@ queries group.  Necessity statements are admitted only at sentence level.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, STRING, WORD, Token, TokenKind

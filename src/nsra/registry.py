@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
 from .lexer import _SCANNER, ORDINAL, _classify

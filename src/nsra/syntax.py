@@ -6,8 +6,6 @@ is ``Prefixed("type", None, Prefixed("argument", 2, Ident("init")))``.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import Record
 from .lexer import ORDINALS
 
@@ -18,7 +16,7 @@ from .lexer import ORDINALS
 class Literal(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: Union[str, int]):
+    def __init__(self, value: str | int):
         self.value = value
 
 
@@ -38,7 +36,7 @@ class Prefixed(Record):
         self.attribute, self.ordinal, self.inner = attribute, ordinal, inner
 
 
-Exp = Union[Literal, Ident, Prefixed]
+Exp = Literal | Ident | Prefixed
 
 
 # --- statement right-hand sides --------------------------------------------
@@ -61,7 +59,7 @@ class TypeAssumption(Record):
         self.noun = noun
 
 
-BasicRhs = Union[Exp, LiteralList, TypeAssumption]
+BasicRhs = Exp | LiteralList | TypeAssumption
 
 
 # --- statements -------------------------------------------------------------
@@ -132,17 +130,9 @@ class SignaturePattern(Record):
         self.method_name, self.type_names, self.positive = method_name, type_names, positive
 
 
-Statement = Union[
-    Basic,
-    AndStmt,
-    OrStmt,
-    NotStmt,
-    IfStmt,
-    Necessity,
-    InvocationPattern,
-    OrderingPattern,
-    SignaturePattern,
-]
+Statement = (
+    Basic | AndStmt | OrStmt | NotStmt | IfStmt | Necessity | InvocationPattern | OrderingPattern | SignaturePattern
+)
 
 
 class QueryAst(Record):

@@ -309,6 +309,14 @@ def test_import_leaves_rare_modules_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # ``-S``: a ``site`` that runs ``.pth`` files may load ``typing`` itself.
+    probe = "import sys, nsra.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    proc = fresh_python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_compile_warns_about_a_type_without_alias(workdir):
     query = write(
         workdir / "q.nsra",

@@ -1,8 +1,12 @@
 """``compile_text`` on any input either returns QL that reads back to the
 IR it was rendered from, or raises a ``SourceError``: never another
-exception."""
+exception.  The inputs are random text, the benchmark generator's
+task-sized queries, and token mutations of those and of the goldens."""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,11 +19,15 @@ from nsra.qlgen import read_query_text
 from nsra.registry import builtin_crypto_profile
 from conftest import golden_text
 
-# Each golden query as its tokens' source text, a string with its quotes.
-GOLDEN_TOKENS = [
-    [text[t.span.start : t.span.end] for t in tokenize(text)]
-    for text in (golden_text(f"{name}.nsra") for name in ("example_invoke", "task1", "task2", "task3"))
-]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded query generator
+
+GOLDEN_TEXTS = [golden_text(f"{name}.nsra") for name in ("example_invoke", "task1", "task2", "task3")]
+# A task-sized benchmark query over the built-in attributes, in either phrasing.
+GENERATED = st.builds(
+    lambda seed, size, phrasing: gen.Generator(seed).task_sized(size).text(phrasing),
+    st.integers(0, 2**32), st.integers(1, 8), st.sampled_from(("poss", "plain")),
+)
 # Words and marks a mutation inserts, and the text random inputs are made of.
 ALPHABET = (
     "it", "is", "false", "necessary", "that", "if", "then", "and", "or", "not", "does", "doesn't",
@@ -31,9 +39,12 @@ ALPHABET = (
 
 
 @st.composite
-def _mutated_golden(draw) -> str:
-    """A golden query with tokens deleted, duplicated, swapped or inserted."""
-    tokens = list(draw(st.sampled_from(GOLDEN_TOKENS)))
+def _mutated_query(draw) -> str:
+    """A golden or generated query with tokens deleted, duplicated, swapped
+    or inserted."""
+    text = draw(st.sampled_from(GOLDEN_TEXTS) | GENERATED)
+    # The query as its tokens' source text, a string with its quotes.
+    tokens = [text[t.span.start : t.span.end] for t in tokenize(text)]
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(0, len(tokens) - 1))
         edit = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
@@ -48,7 +59,7 @@ def _mutated_golden(draw) -> str:
     return draw(st.sampled_from((" ", "\n"))).join(tokens)
 
 
-@given(_mutated_golden() | st.lists(st.sampled_from(ALPHABET + (" ",)), max_size=30).map("".join))
+@given(GENERATED | _mutated_query() | st.lists(st.sampled_from(ALPHABET + (" ",)), max_size=30).map("".join))
 @example("It is false that " * 101 + "x is 1.")
 @example('An object of Cipher invokes init. The type of the second argument of "RSA" is "K".')
 @example("An object of Cipher invokes init. init's first argument is 99999999999999999999.")

@@ -32,7 +32,7 @@ PACKAGE_NAMES = (
 ROW_FIELDS = ("vocab_nsra", "length_nsra", "vocab_ql", "length_ql")
 
 _PROBE = """
-import dataclasses, json, sys
+import json, sys
 import nsra, nsra.cli
 sys.path.insert(0, sys.argv[1])
 from tracing import LAYERS
@@ -40,7 +40,7 @@ missing = [f"nsra.{m}" for m in sorted({m for m, _, _, _ in LAYERS}) if f"nsra.{
 missing += [f"nsra.{m}.{f}" for m, f, _, _ in LAYERS if not callable(getattr(sys.modules.get(f"nsra.{m}"), f, None))]
 missing += [f"nsra.{n}" for n in json.loads(sys.argv[2]) if not hasattr(nsra, n)]
 row = getattr(sys.modules.get("nsra.metrics"), "ComparisonRow", None)
-fields = {f.name for f in dataclasses.fields(row)} if row else set()
+fields = set(getattr(row, "__slots__", ()))
 missing += [f"ComparisonRow.{f}" for f in json.loads(sys.argv[3]) if f not in fields]
 print(json.dumps({"layers": len({m for m, _, _, _ in LAYERS}), "missing": missing}))
 """

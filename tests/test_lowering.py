@@ -380,6 +380,13 @@ def test_type_noun_without_a_types_entry_is_a_source_error(text, noun):
         ('signature of m is ["int"].', UndeclaredSubject, "'m' is never introduced"),
         ("the name of x is a variable.", UndeclaredSubject, "'name of x' is never introduced"),
         ("An object of C invokes m. m is a variable.", DuplicateDeclaration, "conflicting declarations for 'm'"),
+        # A negative invocation of a declared name would rebind it in its existential.
+        (
+            "An object of Cipher invokes init. An object of Cipher does not invoke init.",
+            DuplicateDeclaration,
+            "conflicting declarations for 'init'",
+        ),
+        ("m is a method access. An object of C does not invoke m.", DuplicateDeclaration, "conflicting declarations for 'm'"),
     ],
 )
 def test_subjects_must_be_declared_once(registry, text, error, message):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from nsra.errors import EmptyList, NestingTooDeep, QuerySyntaxError, UnknownOrdinal, line_column
+from nsra.ir import TRUE, And, Chain, Decl, Eq, Exists, Lit, Lt, Not, Or, TrueExpr, Var
 from nsra.lowering import lower
 from nsra.parser import MAX_NESTING, parse_text
 from nsra.qlgen import normalize_ql, read_query_text, render
@@ -354,6 +355,24 @@ def test_nodes_compare_by_type_and_fields():
     )
     assert repr(Prefixed("argument", 2, Ident("init"))) == (
         "Prefixed(attribute='argument', ordinal=2, inner=Ident(name='init'))"
+    )
+
+
+def test_ir_nodes_compare_by_type_and_fields():
+    # truth_table.atoms and lowering._collect_decls tell nodes apart by ``==``.
+    a, b = Var("a"), Chain(Var("b"), ("getName()",))
+    assert Eq(a, b) != Lt(a, b)
+    assert Var("x") != Lit("x")
+    assert And((Eq(a, b),)) != Or((Eq(a, b),))
+    assert Not(Eq(a, b)) == Not(Eq(Var("a"), Chain(Var("b"), ("getName()",))))
+    # Equal nodes hash equal, so they work as set members and dict keys.
+    assert hash(Eq(a, b)) == hash(Eq(Var("a"), Chain(Var("b"), ("getName()",))))
+    assert hash(Decl("init", "MethodAccess")) == hash(Decl("init", "MethodAccess"))
+    assert {Eq(a, b): 1, Lt(a, b): 2}[Lt(Var("a"), b)] == 2
+    assert TrueExpr() == TRUE and hash(TrueExpr()) == hash(TRUE)
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(Exists(Decl("m", "MethodAccess"), TRUE)) == (
+        "Exists(decl=Decl(var_name='m', ql_type='MethodAccess'), body=TrueExpr())"
     )
 
 
