@@ -7,9 +7,9 @@ Diagnostics go to stderr as ``file:line:col: severity: message``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .errors import SourceError, format_diagnostic
@@ -54,25 +54,31 @@ class _Diagnostic(Exception):
     """A failure already formatted for stderr; ``run`` prints it and exits 1."""
 
 
+def _read(path: str, prefix: str = "") -> str:
+    """The text of ``path``; an ``OSError`` becomes a diagnostic after ``prefix``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise _Diagnostic(f"{prefix}error: {err}") from err
+
+
+def _apply(fn: Callable, path: str, text: str, *args: object):
+    """``fn(text, *args)``; a ``SourceError`` becomes a diagnostic at ``path``."""
+    try:
+        return fn(text, *args)
+    except SourceError as err:
+        raise _Diagnostic(format_diagnostic(path, text, err)) from err
+
+
 def _load_registry(profile_path: str | None) -> Registry:
     path = profile_path or os.environ.get(PROFILE_ENV)
     if not path:
         return builtin_crypto_profile()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        return load_profile(text)
-    except OSError as err:
-        raise _Diagnostic(f"error: {err}") from err
-    except SourceError as err:
-        raise _Diagnostic(format_diagnostic(path, text, err)) from err
+    return _apply(load_profile, path, _read(path))
 
 
-def _compile_file(path: str, registry: Registry, emit: str, header: str | None) -> str:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        ir = lower(parse_text(text), registry)
-    except SourceError as err:
-        raise _Diagnostic(format_diagnostic(path, text, err)) from err
+def _compile_file(path: str, text: str, registry: Registry, emit: str, header: str | None) -> str:
+    ir = _apply(lambda query: lower(parse_text(query), registry), path, text)
     if emit == "ir":
         return dump_ir(ir)
     out = render(ir)
@@ -86,20 +92,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("error: -o/--output needs exactly one input file", file=sys.stderr)
         return 2
     registry = _load_registry(args.profile)
-    failures = 0
     summary: list[str] = []
     for path in args.inputs:
         try:
-            out = _compile_file(path, registry, args.emit, args.header)
+            out = _compile_file(path, _read(path, f"{path}: "), registry, args.emit, args.header)
         except _Diagnostic as diag:
             print(diag, file=sys.stderr)
             summary.append(f"{path}: error")
-            failures += 1
-            continue
-        except OSError as err:
-            print(f"{path}: error: {err}", file=sys.stderr)
-            summary.append(f"{path}: error")
-            failures += 1
             continue
         if args.output:
             Path(args.output).write_text(out, encoding="utf-8")
@@ -110,35 +109,22 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             Path(path).with_suffix(suffix).write_text(out, encoding="utf-8")
         summary.append(f"{path}: ok")
     if len(args.inputs) > 1:
-        for line in summary:
-            print(line, file=sys.stderr)
-    return 1 if failures else 0
+        print("\n".join(summary), file=sys.stderr)
+    return 0 if all(line.endswith(": ok") for line in summary) else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        registry = _load_registry(args.profile)
-        text = Path(args.input).read_text(encoding="utf-8")
-        ql_text = Path(args.ql).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        nsra_counts = halstead_nsra(text, registry)
-    except SourceError as err:
-        print(format_diagnostic(args.input, text, err), file=sys.stderr)
-        return 1
-    try:
-        ql_counts = halstead_ql(ql_text)
-    except SourceError as err:
-        print(format_diagnostic(args.ql, ql_text, err), file=sys.stderr)
-        return 1
+    registry = _load_registry(args.profile)
+    text, ql_text = _read(args.input), _read(args.ql)
+    nsra_counts = _apply(halstead_nsra, args.input, text, registry)
+    ql_counts = _apply(halstead_ql, args.ql, ql_text)
     try:
         row = compare(nsra_counts, ql_counts)
     except ZeroDivisionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise _Diagnostic(f"error: {err}") from err
     if args.json:
+        import json  # here, not at the top: only --json needs it
+
         print(json.dumps(row.to_dict(), indent=2, sort_keys=True))
     else:
         print(format_row(row))
@@ -146,35 +132,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        registry = _load_registry(args.profile)
-        compiled = _compile_file(args.input, registry, "ql", args.header)
-        golden = Path(args.golden).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        right = normalize_ql(golden)
-    except SourceError as err:
-        print(format_diagnostic(args.golden, golden, err), file=sys.stderr)
-        return 1
+    registry = _load_registry(args.profile)
+    compiled = _compile_file(args.input, _read(args.input), registry, "ql", args.header)
+    golden = _read(args.golden)
+    right = _apply(normalize_ql, args.golden, golden)
     try:
         # The compiled text is the header followed by render's output, which
         # always reads, so an error here is in the header.
         left = normalize_ql(compiled)
     except SourceError as err:
-        print(f"error: --header: {err.message}", file=sys.stderr)
-        return 1
+        raise _Diagnostic(f"error: --header: {err.message}") from err
     if left == right:
         print(f"{args.input}: matches {args.golden}")
         return 0
     print(f"{args.input}: does not match {args.golden}", file=sys.stderr)
     import difflib  # here, not at the top: only a mismatch needs it
 
-    diff = difflib.unified_diff(
-        right.splitlines(), left.splitlines(), fromfile=args.golden, tofile=args.input, lineterm=""
-    )
-    for line in diff:
+    for line in difflib.unified_diff(right.splitlines(), left.splitlines(), args.golden, args.input, lineterm=""):
         print(line, file=sys.stderr)
     return 1
 

@@ -160,8 +160,6 @@ def simplify(e: BoolExpr) -> BoolExpr:
     if isinstance(e, And):
         items: list[BoolExpr] = []
         for child in (simplify(i) for i in e.items):
-            if isinstance(child, TrueExpr):
-                continue
             if isinstance(child, And):
                 items.extend(child.items)
             else:
@@ -177,8 +175,8 @@ def simplify(e: BoolExpr) -> BoolExpr:
                 items.extend(child.items)
             else:
                 items.append(child)
-        if not items:
-            return TRUE
+        if not items:  # every disjunct was "not true"
+            return Not(TRUE)
         return disjoin(items)
     if isinstance(e, Not):
         raw = e.inner

@@ -25,7 +25,7 @@ from collections import Counter
 
 from .errors import Record
 from .lexer import IDENT, INT, ORDINAL, STRING, WORD, normalize, tokenize
-from .qlgen import QlReader
+from .qlgen import QL_KEYWORDS, QlReader
 from .registry import Registry, builtin_crypto_profile
 
 
@@ -120,9 +120,6 @@ def halstead_nsra(query_text: str, registry: Registry | None = None) -> Halstead
     return HalsteadCounts(n1, n2, big_n1, big_n2)
 
 
-_QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
-
-
 def halstead_ql(ql_text: str) -> HalsteadCounts:
     """Counts for CodeQL text (see module docstring for the convention).
 
@@ -139,7 +136,7 @@ def halstead_ql(ql_text: str) -> HalsteadCounts:
         elif tok[0].isdecimal():
             value = int(tok)
             operands[value] = operands.get(value, 0) + uses
-        elif tok in _QL_KEYWORDS or not (tok[0].isalpha() or tok[0] == "_"):
+        elif tok in QL_KEYWORDS or not (tok[0].isalpha() or tok[0] == "_"):
             operators[tok] = uses
         else:  # an identifier: an operator where it names a called method
             if calls[tok]:

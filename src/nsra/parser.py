@@ -13,6 +13,7 @@ from collections.abc import Callable
 from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, STRING, WORD, Token, TokenKind
 from .lexer import normalize, ordinal_value, tokenize
+from .qlgen import QL_KEYWORDS
 from .syntax import (
     AndStmt,
     Basic,
@@ -213,7 +214,7 @@ def _invocation(cur: _Cursor) -> Statement:
         cur.expect_word("not")
         cur.expect_word("invoke")
         positive = False
-    method = cur.expect_kind(IDENT, "method name").text
+    method = _name(cur.expect_kind(IDENT, "method name"))
     return InvocationPattern(class_name, method, positive)
 
 
@@ -366,5 +367,12 @@ def _exp(cur: _Cursor) -> Exp:
             return Prefixed(word, None, inner)
         if tok.kind is IDENT:
             cur.take()
-            return Ident(tok.text)
+            return Ident(_name(tok))
     raise cur.error("an expression")
+
+
+def _name(tok: Token) -> str:
+    """A name that the lowering may make a QL variable, which the QL reader must not read as a keyword."""
+    if tok.text in QL_KEYWORDS:
+        raise QuerySyntaxError(f"the CodeQL keyword {tok.text!r} cannot be a name", tok.span)
+    return tok.text

@@ -39,6 +39,9 @@ from .ir import (
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
 
+# The words the reader reads as keywords, so a QL variable cannot be named by one.
+QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
+
 _INDENT = "  "  # continuation lines of a wrapped clause
 
 

@@ -7,9 +7,10 @@ read with the QL scanner: ``name(args)`` calls joined by ``.``, each argument
 a string literal, a decimal integer or ``@ordinal``, the slot an ordinal
 adjective fills (zero-based at render time), one comma between two
 arguments.  ``#`` starts a comment outside a string literal.  A rule's word
-is one word of the query language and not an ordinal, case-folded as the
-parser reads it; a ``[types]`` key is one of the parser's type nouns.  User
-rules shadow built-in rules by attribute word.
+is one the parser reads as an attribute word in both phrasings, ``the word
+of x`` and ``x's word``, case-folded as the parser reads it; a ``[types]``
+key is one of the parser's type nouns.  User rules shadow built-in rules by
+attribute word.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import re
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
-from .lexer import _SCANNER, ORDINAL, _classify
-from .parser import _TYPE_NOUNS
+from .errors import (
+    TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, SourceError, Span, UnknownAttribute
+)
+from .parser import _TYPE_NOUNS, parse_text
 from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, escape_string
+from .syntax import Basic, Ident, Literal, Prefixed, QueryAst
 
 # Call names whose result is directly comparable to a string literal.
 _STRING_RESULTS = frozenset({"toString", "getName", "replaceAll", "splitAt"})
@@ -152,8 +155,8 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
                 nouns = ", ".join(_TYPE_NOUNS.values())
                 raise ConfigParseError(f"{key!r} is not a type noun: {nouns}", Span(at, at + len(key)))
             type_names[word] = value
-        elif not _is_word(key):
-            raise ConfigParseError(f"attribute word {key!r} is not one word or is an ordinal", Span(at, at + len(key)))
+        elif not _is_attribute_word(key):
+            raise ConfigParseError(f"the parser does not read {key!r} as an attribute word", Span(at, at + len(key)))
         elif word in rules:
             raise DuplicateAttribute(f"attribute {word!r} defined twice in one profile", Span(at, at + len(key)))
         else:
@@ -161,11 +164,13 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
     return Registry({**base.rules, **rules}, aliases, type_names)
 
 
-def _is_word(text: str) -> bool:
-    """True for one word of the query language that is not an ordinal: ``text`` is one token as
-    ``tokenize`` scans and classifies it."""
-    m = _SCANNER.match(text)  # the match may start with whitespace, the word may not
-    return m.lastgroup in ("WORD", "IDENT") and m.span(m.lastgroup) == (0, len(text)) and _classify(text) is not ORDINAL
+def _is_attribute_word(key: str) -> bool:
+    """True when the parser reads ``key`` as an attribute word in both phrasings."""
+    expected = QueryAst((Basic(Prefixed(key.lower(), None, Ident("x")), Literal(1)),))
+    try:
+        return parse_text(f"the {key} of x is 1.") == expected == parse_text(f"x's {key} is 1.")
+    except SourceError:
+        return False
 
 
 def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:

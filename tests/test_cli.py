@@ -303,7 +303,7 @@ def test_missing_input_reports_error(workdir, capsys):
 
 
 def test_import_leaves_rare_modules_unloaded():
-    probe = "import sys, nsra.cli; print(sorted({'logging', 'difflib'} & set(sys.modules)))"
+    probe = "import sys, nsra.cli; print(sorted({'logging', 'difflib', 'json'} & set(sys.modules)))"
     proc = fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -372,3 +372,39 @@ def test_nesting_too_deep_is_a_diagnostic(workdir, capsys):
     assert run(["compile", query]) == 1
     column = len("It is false that ") * MAX_NESTING + 1
     assert capsys.readouterr().err == f"{query}:2:{column}: error: phrases nested more than {MAX_NESTING} deep\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["compile", "{d}/good.nsra", "{d}/bad.nsra", "{d}/absent.nsra"], 1,
+         "{d}/bad.nsra:1:13: error: unexpected 'precede' (expected is)\n"
+         "{d}/absent.nsra: error: [Errno 2] No such file or directory: '{d}/absent.nsra'\n"
+         "{d}/good.nsra: ok\n{d}/bad.nsra: error\n{d}/absent.nsra: error\n"),
+        (["compile", "{d}/good.nsra", "{d}/bad.nsra", "-o", "{d}/out.ql"], 2,
+         "error: -o/--output needs exactly one input file\n"),
+        (["compile", "{d}/good.nsra", "{d}/bad.nsra", "--profile", "{d}/absent.profile"], 1,
+         "error: [Errno 2] No such file or directory: '{d}/absent.profile'\n"),
+        (["check", "{d}/bad.nsra", "--golden", "{d}/absent.ql"], 1,
+         "{d}/bad.nsra:1:13: error: unexpected 'precede' (expected is)\n"),
+        (["check", "{d}/good.nsra", "--golden", "{d}/absent.ql"], 1,
+         "error: [Errno 2] No such file or directory: '{d}/absent.ql'\n"),
+        (["check", "{d}/unknown.nsra", "--golden", "{d}/absent.ql"], 1,
+         "{d}/unknown.nsra:1:1: error: unknown attribute 'x'; known attributes: "
+         "algorithm, argument, method, mode, name, padding, type\n"),
+        (["metrics", "{d}/unterminated.nsra", "--ql", "{d}/absent.ql"], 1,
+         "error: [Errno 2] No such file or directory: '{d}/absent.ql'\n"),
+        (["metrics", "{d}/unterminated.nsra", "--ql", "{d}/unterminated.ql"], 1,
+         "{d}/unterminated.nsra:1:21: error: unterminated string literal\n"),
+    ],
+)
+def test_each_failure_prints_one_diagnostic(workdir, capsys, argv, code, err):
+    """A failure stops a command at the first input it reads, in argument
+    order; a batch compile reports each file and then the summary."""
+    write(workdir / "good.nsra", "An object of Cipher invokes init.")
+    write(workdir / "bad.nsra", "getInstance precede init.")
+    write(workdir / "unknown.nsra", 'An object of Cipher invokes init. The x of init is "AES".')
+    write(workdir / "unterminated.nsra", 'The name of init is "x.')
+    write(workdir / "unterminated.ql", 'from MethodAccess init\nwhere init.getName() = "x\n')
+    assert run([arg.format(d=workdir) for arg in argv]) == code
+    assert capsys.readouterr() == ("", err.format(d=workdir))

@@ -33,8 +33,8 @@ ALPHABET = (
     "it", "is", "false", "necessary", "that", "if", "then", "and", "or", "not", "does", "doesn't",
     "invoke", "invokes", "object", "of", "a", "the", "in", "signature", "precedes", "follows",
     "variable", "class", "method", "access", "first", "second", "argument", "type", "algorithm",
-    "init", "Cipher", "x", "'s", "’s", '"RSA"', "“AES”", '""', "42", "[", "]", ",", ".", "'", '"',
-    "é", "²", "\t", "\n", " ",
+    "init", "Cipher", "x", "exists", "count", "'s", "’s", '"RSA"', "“AES”", '""', "42", "[", "]", ",",
+    ".", "'", '"', "é", "²", "\t", "\n", " ",
 )
 
 

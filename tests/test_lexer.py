@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nsra.errors import IllegalCharacter, QuerySyntaxError, SourceError, Span, UnterminatedString, format_diagnostic
 from nsra.lexer import Token, TokenKind, normalize, tokenize
 from nsra.parser import parse_text
-from nsra.registry import _is_word
+from nsra.registry import _is_attribute_word
 
 
 def kinds(tokens):
@@ -165,7 +165,7 @@ def test_error_columns_count_tabs_and_newlines_as_one_character():
 
 @pytest.mark.parametrize("key", [" name", "name ", "\tname", "name\n", "\u00a0name", " name ", "na me"])
 def test_rule_key_with_whitespace_is_not_a_word(key):
-    assert _is_word("name") and not _is_word(key)
+    assert _is_attribute_word("name") and not _is_attribute_word(key)
 
 
 # --- normalize ---------------------------------------------------------------

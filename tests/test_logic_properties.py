@@ -24,7 +24,7 @@ _ATOMS = [Eq(Var(f"a{i}"), Lit(i)) for i in range(10)]
 
 
 def _trees(max_atoms: int = 10) -> st.SearchStrategy[BoolExpr]:
-    leaves = st.sampled_from(_ATOMS[:max_atoms])
+    leaves = st.sampled_from([*_ATOMS[:max_atoms], TRUE])
     return st.recursive(
         leaves,
         lambda children: st.one_of(
@@ -74,9 +74,13 @@ def test_membership_matches_any_of(items):
 
 @given(_trees())
 @settings(max_examples=300, deadline=None)
+# Every disjunct is "not true": the disjunction is false, not true.
+@example(Or((Not(TRUE), Not(TRUE))))
 def test_simplify_preserves_truth_table(tree):
     shared = atoms(tree)
-    assert truth_vector(simplify(tree), shared) == truth_vector(tree, shared)
+    once = simplify(tree)
+    assert truth_vector(once, shared) == truth_vector(tree, shared)
+    assert simplify(once) == once
 
 
 @given(_trees())

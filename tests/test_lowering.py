@@ -209,6 +209,20 @@ def test_two_necessities_disjoin_their_negations(registry):
     assert all(isinstance(i, Not) for i in block.items)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x is a variable. It is necessary that x is a variable.",
+        "x is a variable. y is a variable. "
+        "It is necessary that x is a variable. It is necessary that y is a variable.",
+    ],
+)
+def test_necessities_that_always_hold_match_nothing(registry, text):
+    # The violation of a necessity that always holds is "not true"; a
+    # disjunction of such violations is false, not true.
+    assert "where not (1 = 1)\n" in compile_text(text, registry)
+
+
 def test_type_assumption_contributes_declaration(registry):
     ir = lower_text('var1 is a variable. the name of var1 is "x".', registry)
     assert [(d.var_name, d.ql_type) for d in ir.decls] == [("var1", "Variable")]

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from nsra.errors import EmptyList, NestingTooDeep, QuerySyntaxError, UnknownOrdinal, line_column
+from nsra.errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal, line_column
 from nsra.ir import TRUE, And, Chain, Decl, Eq, Exists, Lit, Lt, Not, Or, TrueExpr, Var
 from nsra.lowering import lower
 from nsra.parser import MAX_NESTING, parse_text
@@ -23,10 +25,14 @@ from nsra.syntax import (
     OrderingPattern,
     OrStmt,
     Prefixed,
+    QueryAst,
     SignaturePattern,
     TypeAssumption,
     query_to_text,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded query generator
 
 
 def single(text: str):
@@ -343,6 +349,19 @@ def test_round_trip_on_task_queries(golden_dir):
         assert parse_text(query_to_text(first)) == first
 
 
+def test_round_trip_on_generated_queries():
+    """Successive task-sized benchmark queries, in both phrasings, reach the
+    printer's type assumptions, orderings and integer literals.  One
+    generator makes them all: a fresh one makes the same shapes whatever
+    its seed."""
+    generator = gen.Generator(0)
+    for _ in range(100):
+        query = generator.task_sized(8)
+        for phrasing in ("poss", "plain"):
+            first = parse_text(query.text(phrasing))
+            assert parse_text(query_to_text(first)) == first
+
+
 def test_nodes_compare_by_type_and_fields():
     stmt = InvocationPattern("Cipher", "init")
     assert Literal("x") != Ident("x")
@@ -401,6 +420,27 @@ def test_syntax_error_branches(text, message, at):
     with pytest.raises(QuerySyntaxError) as info:
         parse_text(text)
     assert (info.value.message, info.value.span.start) == (message, at)
+
+
+@pytest.mark.parametrize("keyword", ["from", "where", "select", "exists", "count"])
+@pytest.mark.parametrize(
+    "template",
+    ["An object of Cipher invokes {}.", "An object of Cipher does not invoke {}.", "{} is a variable.",
+     "x is a variable. the name of x is {}."],
+)
+def test_ql_keywords_cannot_be_names(keyword, template):
+    text = template.format(keyword)
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_text(text)
+    message = f"the CodeQL keyword {keyword!r} cannot be a name"
+    at = text.index(keyword)
+    assert (info.value.message, info.value.span) == (message, Span(at, at + len(keyword)))
+
+
+def test_ql_keywords_may_name_classes_and_differ_in_case():
+    assert parse_text("An object of exists invokes init. Count is a variable.") == QueryAst(
+        (InvocationPattern("exists", "init"), Basic(Ident("Count"), TypeAssumption("variable")))
+    )
 
 
 # --- nesting depth -------------------------------------------------------------

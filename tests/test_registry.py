@@ -311,14 +311,22 @@ def test_ordinal_slot_keeps_a_string_that_spells_it():
     assert rule.render_steps(1) == ('f("@ordinal", 1)',)
 
 
-@pytest.mark.parametrize("key", ["my attr", "first", "Second", "1st", "x-y", '"x"'])
+# A key must read as an attribute word in both phrasings. These are keys no
+# phrasing can use, then keys only ``x's key`` could use.
+_UNREADABLE_KEYS = ["the", "a", "an", "is", "object", "signature", "doesn't", "if"]
+_POSSESSIVE_ONLY_KEYS = ["and", "or", "in", "then", "does", "invoke", "invokes", "precedes", "follows"]
+
+
+@pytest.mark.parametrize(
+    "key", ["my attr", "first", "Second", "1st", "x-y", '"x"', *_UNREADABLE_KEYS, *_POSSESSIVE_ONLY_KEYS]
+)
 def test_rule_keys_are_one_word_and_not_an_ordinal(key):
-    assert error_at(f"{key} = getX()") == (f"attribute word {key!r} is not one word or is an ordinal", key)
+    assert error_at(f"{key} = getX()") == (f"the parser does not read {key!r} as an attribute word", key)
 
 
 def test_rule_keys_the_parser_reads_as_words():
-    reg = load_profile("class = getX()\ndoesn't = getY()\nx_1 = getZ()")
-    assert {"class", "doesn't", "x_1"} <= set(reg.rules)
+    reg = load_profile("class = getX()\nx_1 = getZ()\nNot = getW()")
+    assert {"class", "x_1", "not"} <= set(reg.rules)
 
 
 @pytest.mark.parametrize("key", ["field", "method  access", "methods"])
