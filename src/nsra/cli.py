@@ -55,11 +55,22 @@ class _Diagnostic(Exception):
 
 
 def _read(path: str, prefix: str = "") -> str:
-    """The text of ``path``; an ``OSError`` becomes a diagnostic after ``prefix``."""
+    """The text of ``path``; an ``OSError`` or bytes that are not UTF-8 become a
+    diagnostic after ``prefix``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Diagnostic(f"{prefix}error: {err}") from err
+    except UnicodeDecodeError as err:
+        raise _Diagnostic(f"{prefix}error: {path!r} is not UTF-8: {err.reason} at byte offset {err.start}") from err
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; an ``OSError`` becomes a diagnostic."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _Diagnostic(f"error: {err}") from err
 
 
 def _apply(fn: Callable, path: str, text: str, *args: object):
@@ -96,17 +107,16 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     for path in args.inputs:
         try:
             out = _compile_file(path, _read(path, f"{path}: "), registry, args.emit, args.header)
+            if args.output:
+                _write(args.output, out)
+            elif len(args.inputs) == 1:
+                sys.stdout.write(out)
+            else:
+                _write(Path(path).with_suffix(".ir" if args.emit == "ir" else ".ql"), out)
         except _Diagnostic as diag:
             print(diag, file=sys.stderr)
             summary.append(f"{path}: error")
             continue
-        if args.output:
-            Path(args.output).write_text(out, encoding="utf-8")
-        elif len(args.inputs) == 1:
-            sys.stdout.write(out)
-        else:
-            suffix = ".ir" if args.emit == "ir" else ".ql"
-            Path(path).with_suffix(suffix).write_text(out, encoding="utf-8")
         summary.append(f"{path}: ok")
     if len(args.inputs) > 1:
         print("\n".join(summary), file=sys.stderr)

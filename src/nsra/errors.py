@@ -3,6 +3,7 @@ value classes, shared across the compiler."""
 
 from __future__ import annotations
 
+import operator
 import sys
 
 # What every reader says of an integer literal too long for ``int`` to read.
@@ -17,16 +18,25 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls):
+        # ``_values(record)`` is the tuple of its fields: for two fields or
+        # more one C call, since ``attrgetter`` of one name returns the bare
+        # value and of none fails.
+        names = cls.__slots__
+        if len(names) > 1:
+            cls._values = operator.attrgetter(*names)
+        elif names:
+            cls._values = staticmethod(lambda self, name=names[0]: (getattr(self, name),))
+        else:
+            cls._values = staticmethod(lambda self: ())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

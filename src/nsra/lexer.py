@@ -1,12 +1,12 @@
 """Tokenizer and paraphrase normalizer for the controlled-English query language.
 
-``tokenize`` segments raw text into tokens whose spans, with only
-whitespace between them, cover the input.  It is one regex scan that skips
-the whitespace before each token as part of the token's match, so the scan
-makes one match per token.  ``normalize`` then rewrites the
-token stream into the canonical surface form the parser understands:
-contractions expanded, possessives turned into ``of`` phrases, and articles
-dropped.
+``tokenize`` segments raw text into tokens whose source ranges, with only
+whitespace between them, cover the input.  It is one regex ``findall`` that
+yields each token's source text, whose first character tells its kind, and
+it builds one small object per token; a ``Span`` is built only for a
+diagnostic.  ``normalize`` then rewrites the token stream into the canonical
+surface form the parser understands: contractions expanded, possessives
+turned into ``of`` phrases, and articles dropped.
 """
 
 from __future__ import annotations
@@ -37,13 +37,18 @@ WORD, ORDINAL, STRING, INT, IDENT, LIST_OPEN, LIST_CLOSE, COMMA, PERIOD, POSSESS
 
 
 class Token(Record):
-    __slots__ = ("kind", "text", "span")
+    """One token: its kind, its text (a string's without the quotes) and the
+    half-open range ``[start, end)`` of its source text.  ``span`` builds a
+    ``Span`` for a diagnostic; nothing else needs one."""
 
-    def __init__(self, kind: TokenKind, text: str, span: Span):
-        self.kind, self.text, self.span = kind, text, span
+    __slots__ = ("kind", "text", "start", "end")
 
-    def lowered(self) -> str:
-        return self.text.lower()
+    def __init__(self, kind: TokenKind, text: str, start: int, end: int):
+        self.kind, self.text, self.start, self.end = kind, text, start, end
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
     def int_value(self) -> int:  # of an INT token; one too long for ``int`` is an error at it
         try:
@@ -52,19 +57,10 @@ class Token(Record):
             raise SourceError(TOO_LONG_INTEGER, self.span) from None
 
 
-# Ordinal adjectives admitted by the grammar, in argument-position order.
-ORDINALS = {
-    "first": 1,
-    "second": 2,
-    "third": 3,
-    "fourth": 4,
-    "fifth": 5,
-    "sixth": 6,
-    "seventh": 7,
-    "eighth": 8,
-    "ninth": 9,
-    "tenth": 10,
-}
+# Ordinal adjectives admitted by the grammar, in argument-position order, and
+# each one's 1-based position.
+ORDINAL_WORDS = ("first", "second", "third", "fourth", "fifth", "sixth", "seventh", "eighth", "ninth", "tenth")
+ORDINALS = {word: n for n, word in enumerate(ORDINAL_WORDS, 1)}
 
 ARTICLES = frozenset({"a", "an", "the"})
 
@@ -107,54 +103,41 @@ _ARTICLE_STOPPERS = frozenset(
     {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
 )
 
+# The contraction ``normalize`` expands to ``does not``, case-folded.
+_DOESNT = frozenset({"doesn't", "doesn’t"})
+
 # Each match is a skip prefix of whitespace, then one token: one alternative
 # per token kind, tried in order, as in the "Writing a Tokenizer" recipe of
-# the ``re`` docs.  A group named after a ``TokenKind`` yields that kind,
-# except that ``_classify`` finds the keywords and ordinals among the
-# ``IDENT`` words; ``error`` yields none.  Every group spans its token's
-# source text; a string opens with any of ``" “ ”`` and closes at the first
-# ``"`` or ``”``, and its group keeps both quotes.  An apostrophe before
-# ``s`` and a non-word character is the possessive marker; any other
-# apostrophe between word characters makes one contraction WORD
-# (``doesn't``).  ``error`` takes any other non-space character, so ``²`` is
-# illegal where ``\d`` reads only decimal digits.  The token is optional, so a
-# match never backtracks into the whitespace; it is empty only at the end of
-# the text, which ends the scan.
+# the ``re`` docs.  The group is the token's source text, and its first
+# character tells its kind (``tokenize``).  A string opens with any of
+# ``" “ ”`` and closes at the first ``"`` or ``”``, and keeps both quotes.  An
+# apostrophe before ``s`` and a non-word character is the possessive marker;
+# any other apostrophe between word characters makes one contraction WORD
+# (``doesn't``).  The last alternative takes any other non-space character
+# alone, so a lone quote or apostrophe, or a ``²`` where ``\d`` reads only
+# decimal digits, is a one-character token that ``tokenize`` rejects.  The
+# token is optional, so a match never backtracks into the whitespace; it is
+# empty only at the end of the text.
 _SCANNER = re.compile(
-    r"""
-    \s*(?:
-      (?P<STRING>["“”][^"”]*["”])
-    | (?P<LIST_OPEN>\[)
-    | (?P<LIST_CLOSE>\])
-    | (?P<COMMA>,)
-    | (?P<PERIOD>\.)
-    | (?P<POSSESSIVE>['’][sS](?![A-Za-z0-9_]))
-    | (?P<INT>\d+)
-    | (?P<WORD>[A-Za-z0-9_]+['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)
-    | (?P<IDENT>[A-Za-z0-9_]+)
-    | (?P<error>\S)
-    )?
-    """,
-    re.VERBOSE,
+    r"""\s*(["“”][^"”]*["”]|[\[\],.]|['’][sS](?![A-Za-z0-9_])|\d+"""
+    r"""|[A-Za-z0-9_]+(?:['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)?|\S)?"""
 )
-_GROUP_KINDS = {i: TokenKind.__members__.get(name) for name, i in _SCANNER.groupindex.items()}  # by group number
 _WORD_KINDS = (WORD, ORDINAL, IDENT)
 
 # The kind of every word that is not an identifier, by its case-folded text.
 _KINDS = {**dict.fromkeys(STRUCTURE_WORDS, WORD), **dict.fromkeys(ORDINALS, ORDINAL)}
 
-
-def _classify(word: str) -> TokenKind:
-    return _KINDS.get(word.lower(), IDENT)
-
-
-def _lex_error(text: str, start: int) -> SourceError:
-    ch = text[start]
-    if ch in "\"“”":
-        return UnterminatedString("unterminated string literal", Span(start, len(text)))
-    if ch in "'’":
-        return IllegalCharacter(f"stray {ch!r}", Span(start, start + 1))
-    return IllegalCharacter(f"illegal character {ch!r}", Span(start, start + 1))
+# The kind a token's first character tells: IDENT stands for every word,
+# which ``_KINDS`` then sorts, and INT for an ASCII digit.  A token that
+# starts with any other character is an integer of other decimal digits, or
+# an error.
+_LEADS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", IDENT),
+    **dict.fromkeys("0123456789", INT),
+    **dict.fromkeys("\"“”", STRING),
+    **dict.fromkeys("'’", POSSESSIVE),
+    "[": LIST_OPEN, "]": LIST_CLOSE, ",": COMMA, ".": PERIOD,
+}
 
 
 def tokenize(text: str) -> list[Token]:
@@ -163,70 +146,66 @@ def tokenize(text: str) -> list[Token]:
     Quoted strings (straight or typographic quotes) become single STRING
     tokens holding their content verbatim; ``'s`` becomes a POSSESSIVE token;
     the contraction ``doesn't`` stays one WORD token for ``normalize`` to
-    expand.
+    expand.  A token starts at the first occurrence of its source text after
+    the previous token, since only whitespace lies between them.
     """
     tokens: list[Token] = []
-    for m in _SCANNER.finditer(text):
-        group = m.lastindex
-        if group is None:  # only whitespace is left
+    end = 0
+    for value in _SCANNER.findall(text):
+        if not value:  # only whitespace is left
             break
-        start, end = m.span(group)
-        kind, value = _GROUP_KINDS[group], text[start:end]
-        if kind is None:
-            raise _lex_error(text, start)
+        start = text.index(value, end)
+        end = start + len(value)
+        kind = _LEADS.get(value[0])
         if kind is IDENT:
-            kind = _classify(value)
-        tokens.append(Token(kind, value[1:-1] if kind is STRING else value, Span(start, end)))
+            kind = WORD if "'" in value or "’" in value else _KINDS.get(value.lower(), IDENT)
+        elif kind is None and value.isdecimal():
+            kind = INT
+        elif kind is None or end - start == 1 and kind in (STRING, POSSESSIVE):  # only `\S` took it
+            if kind is STRING:
+                raise UnterminatedString("unterminated string literal", Span(start, len(text)))
+            raise IllegalCharacter(f"stray {value!r}" if kind else f"illegal character {value!r}", Span(start, end))
+        elif kind is STRING:
+            value = value[1:-1]
+        tokens.append(Token(kind, value, start, end))
     return tokens
-
-
-def _word(template: Token, text: str) -> Token:
-    """Synthesize a token at the source position of ``template``."""
-    return Token(_classify(text), text, template.span)
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
     """Rewrite a token stream into canonical surface form.
 
-    Three rewrites, applied in order, each one pass over the tokens:
+    Two passes over the tokens:
 
-    1. ``doesn't`` (or typographic ``doesn’t``) expands to ``does not``.
-    2. Possessives: ``X 's [ordinal] attr`` becomes ``[ordinal] attr of X``.
-    3. Articles drop, unless the following token is a statement keyword, so
+    1. ``doesn't`` (or typographic ``doesn’t``) expands to ``does not``, and
+       possessives ``X 's [ordinal] attr`` become ``[ordinal] attr of X``.
+    2. Articles drop, unless the following token is a statement keyword, so
        a bare identifier spelled ``a`` survives (``a is b.``).
 
-    Idempotent: normalizing canonical output returns it unchanged.  Spans of
-    synthesized tokens point at the source token they replace.
+    Idempotent: normalizing canonical output returns it unchanged.
+    Synthesized tokens take the source range of the token they replace.
     """
-    out: list[Token] = []
-    for tok in tokens:
-        if tok.kind is WORD and tok.lowered() in ("doesn't", "doesn’t"):
-            out.append(_word(tok, "does"))
-            out.append(_word(tok, "not"))
-        else:
-            out.append(tok)
-
-    out = _rewrite_possessives(out)
-
+    out = _rewrite_possessives(tokens)
     result: list[Token] = []
     for tok, nxt in zip(out, [*out[1:], None]):
-        if tok.kind is WORD and tok.lowered() in ARTICLES:
-            if nxt is not None and nxt.kind in _WORD_KINDS and nxt.lowered() not in _ARTICLE_STOPPERS:
+        if tok.kind is WORD and tok.text.lower() in ARTICLES:
+            if nxt is not None and nxt.kind in _WORD_KINDS and nxt.text.lower() not in _ARTICLE_STOPPERS:
                 continue
             # An article not determining a noun phrase is really an
             # identifier that happens to be spelled "a" (as in "a is b.").
-            tok = Token(IDENT, tok.text, tok.span)
+            tok = Token(IDENT, tok.text, tok.start, tok.end)
         result.append(tok)
     return result
 
 
 def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
-    """Turn ``X 's [ordinal] attr`` into ``[ordinal] attr of X`` in one
-    left-to-right pass.
+    """Expand ``doesn't`` and turn ``X 's [ordinal] attr`` into ``[ordinal]
+    attr of X``, in one left-to-right pass.
 
     The possessor ``X`` is the word before ``'s``, or, when ``'s`` directly
     follows a rewritten phrase, that whole phrase: possessive chains read
     left to right, so ``m's method's name`` becomes ``name of method of m``.
+    An attribute word spelled ``doesn't`` reads as ``does`` with ``not``
+    after the phrase, as if the contraction had been expanded first.
     """
     out: list[Token] = []
     start = end = -1  # out[start:end] is the last rewritten phrase
@@ -234,7 +213,10 @@ def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
     while i < n:
         tok = tokens[i]
         if tok.kind is not POSSESSIVE:
-            out.append(tok)
+            if tok.kind is WORD and tok.text.lower() in _DOESNT:
+                out += (Token(WORD, "does", tok.start, tok.end), Token(WORD, "not", tok.start, tok.end))
+            else:
+                out.append(tok)
             i += 1
             continue
         if len(out) != end:
@@ -244,14 +226,15 @@ def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
         j = i + 1
         if j < n and tokens[j].kind is ORDINAL:
             j += 1
-        if j >= n or tokens[j].kind not in (IDENT, WORD):
+        attr = tokens[j] if j < n else None
+        if attr is None or attr.kind not in (IDENT, WORD):
             raise IllegalCharacter("possessive marker without an attribute", tok.span)
-        out[start:] = [*tokens[i + 1 : j + 1], _word(tok, "of"), *out[start:]]
+        negated = attr.kind is WORD and attr.text.lower() in _DOESNT
+        if negated:
+            attr = Token(WORD, "does", attr.start, attr.end)
+        out[start:] = [*tokens[i + 1 : j], attr, Token(WORD, "of", tok.start, tok.end), *out[start:]]
         end = len(out)
+        if negated:
+            out.append(Token(WORD, "not", attr.start, attr.end))
         i = j + 1
     return out
-
-
-def ordinal_value(word: str) -> int | None:
-    """1-based value of an ordinal adjective, or None if not one of the ten."""
-    return ORDINALS.get(word.lower())

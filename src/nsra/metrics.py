@@ -24,7 +24,7 @@ import math
 from collections import Counter
 
 from .errors import Record
-from .lexer import IDENT, INT, ORDINAL, STRING, WORD, normalize, tokenize
+from .lexer import IDENT, INT, ORDINAL, STRING, WORD, TokenKind, normalize, tokenize
 from .qlgen import QL_KEYWORDS, QlReader
 from .registry import Registry, builtin_crypto_profile
 
@@ -71,6 +71,11 @@ def _tally(keys: list[tuple[str, object]]) -> tuple[int, int]:
     return len(set(keys)), len(keys)
 
 
+# Each punctuation kind's name, the class of its terms: a table, since an
+# enum member's ``name`` is a property.
+_KIND_NAMES = {kind: kind.name for kind in TokenKind}
+
+
 def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[str, object]]:
     """Every token of the normalized query as a ``(class, value)`` term.
 
@@ -80,19 +85,21 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
     ``"id"``, ``"str"`` and ``"int"`` are user terminals, valued as written.
     Punctuation is classed by its token kind's name.
     """
-    registry = registry or builtin_crypto_profile()
+    rules = (registry or builtin_crypto_profile()).rules
     terms: list[tuple[str, object]] = []
     for tok in normalize(tokenize(query_text)):
-        if tok.kind is STRING:
-            terms.append(("str", tok.text))
-        elif tok.kind is INT:
+        kind, text = tok.kind, tok.text
+        if kind is WORD or kind is ORDINAL:
+            terms.append(("op", text.lower()))
+        elif kind is IDENT:
+            lowered = text.lower()
+            terms.append(("op", lowered) if lowered in rules else ("id", text))
+        elif kind is STRING:
+            terms.append(("str", text))
+        elif kind is INT:
             terms.append(("int", tok.int_value()))
-        elif tok.kind is IDENT and tok.lowered() not in registry.rules:
-            terms.append(("id", tok.text))
-        elif tok.kind in (WORD, ORDINAL, IDENT):
-            terms.append(("op", tok.lowered()))
         else:
-            terms.append((tok.kind.name, tok.text))
+            terms.append((_KIND_NAMES[kind], text))
     return terms
 
 
@@ -108,13 +115,9 @@ def halstead_nsra(query_text: str, registry: Registry | None = None) -> Halstead
     The registry decides which identifier-looking words are attribute
     vocabulary (operators) rather than user terminals (operands).
     """
-    operators: list[tuple[str, object]] = []
-    operands: list[tuple[str, object]] = []
-    for term in nsra_terms(query_text, registry):
-        if term[0] in _OPERAND_CLASSES:
-            operands.append(term)
-        elif term[0] == "op" and term[1] not in _UNCOUNTED_WORDS:
-            operators.append(term)
+    terms = nsra_terms(query_text, registry)
+    operators = [term for term in terms if term[0] == "op" and term[1] not in _UNCOUNTED_WORDS]
+    operands = [term for term in terms if term[0] in _OPERAND_CLASSES]
     n1, big_n1 = _tally(operators)
     n2, big_n2 = _tally(operands)
     return HalsteadCounts(n1, n2, big_n1, big_n2)

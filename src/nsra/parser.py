@@ -12,7 +12,7 @@ from collections.abc import Callable
 
 from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, STRING, WORD, Token, TokenKind
-from .lexer import normalize, ordinal_value, tokenize
+from .lexer import ORDINALS, normalize, tokenize
 from .qlgen import QL_KEYWORDS
 from .syntax import (
     AndStmt,
@@ -96,8 +96,8 @@ class _Cursor:
 
     def _end_span(self) -> Span:
         if self.tokens:
-            last = self.tokens[-1].span
-            return Span(last.end, last.end)
+            end = self.tokens[-1].end
+            return Span(end, end)
         return Span(0, 0)
 
 
@@ -220,7 +220,7 @@ def _invocation(cur: _Cursor) -> Statement:
 
 def _ordering(cur: _Cursor) -> Statement:
     left = cur.take().text
-    verb = cur.take().lowered()
+    verb = cur.take().text.lower()
     right = cur.expect_kind(IDENT, "method name").text
     if verb == "follows":
         return OrderingPattern(before=right, after=left, direction="follows")
@@ -324,7 +324,7 @@ def _literal_list(cur: _Cursor, item: Callable[[_Cursor], Literal] = _literal) -
     items: list[Literal] = []
     if cur.at_kind(LIST_CLOSE):
         close = cur.take()
-        raise EmptyList("empty list", Span(open_tok.span.start, close.span.end))
+        raise EmptyList("empty list", Span(open_tok.start, close.end))
     while True:
         items.append(item(cur))
         if cur.at_kind(COMMA):
@@ -343,8 +343,7 @@ def _exp(cur: _Cursor) -> Exp:
     if tok.kind is ORDINAL:
         cur.descend()
         cur.take()
-        value = ordinal_value(tok.text)
-        assert value is not None
+        value = ORDINALS[tok.text.lower()]
         attr = cur.word()
         if not attr:
             raise cur.error("attribute word")

@@ -7,7 +7,7 @@ is ``Prefixed("type", None, Prefixed("argument", 2, Ident("init")))``.
 from __future__ import annotations
 
 from .errors import Record
-from .lexer import ORDINALS
+from .lexer import ORDINAL_WORDS
 
 
 # --- expressions -----------------------------------------------------------
@@ -144,8 +144,6 @@ class QueryAst(Record):
 
 # --- canonical printer -------------------------------------------------------
 
-_ORDINAL_WORDS = {value: word for word, value in ORDINALS.items()}
-
 
 def exp_to_text(e: Exp) -> str:
     if isinstance(e, Literal):
@@ -154,7 +152,7 @@ def exp_to_text(e: Exp) -> str:
         return e.name
     parts = []
     if e.ordinal is not None:
-        parts.append(_ORDINAL_WORDS[e.ordinal])
+        parts.append(ORDINAL_WORDS[e.ordinal - 1])
     parts.append(e.attribute)
     parts.append("of")
     parts.append(exp_to_text(e.inner))

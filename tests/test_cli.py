@@ -343,6 +343,30 @@ def test_missing_file_is_an_error_not_a_traceback(workdir, capsys, command):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("command", ["compile", "check", "metrics"])
+def test_query_that_is_not_utf8_is_an_error_not_a_traceback(workdir, capsys, command):
+    query = workdir / "latin1.nsra"
+    query.write_bytes('An object of Cipher invokes init. The name of init is "café".'.encode("latin-1"))
+    argv = {
+        "compile": ["compile", str(query)],
+        "check": ["check", str(query), "--golden", str(GOLDEN / "task1.ql")],
+        "metrics": ["metrics", str(query), "--ql", str(GOLDEN / "task1.ql")],
+    }[command]
+    assert run(argv) == 1
+    prefix = f"{query}: " if command == "compile" else ""
+    message = f"{prefix}error: '{query}' is not UTF-8: invalid continuation byte at byte offset 58\n"
+    assert capsys.readouterr() == ("", message)
+    assert run(["compile", str(GOLDEN / "task1.nsra"), "--profile", str(query)]) == 1
+    assert capsys.readouterr().err == message.removeprefix(prefix)
+
+
+def test_output_into_a_missing_directory_is_an_error_not_a_traceback(workdir, capsys):
+    out = workdir / "nodir" / "x.ql"
+    assert run(["compile", str(GOLDEN / "task1.nsra"), "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+    assert not out.parent.exists()
+
+
 def test_metrics_against_an_empty_query_is_an_error(workdir, capsys):
     ref = write(workdir / "empty.ql", "import java\n")
     assert run(["metrics", str(GOLDEN / "task1.nsra"), "--ql", ref]) == 1

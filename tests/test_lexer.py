@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsra.lexer
 from nsra.errors import IllegalCharacter, QuerySyntaxError, SourceError, Span, UnterminatedString, format_diagnostic
-from nsra.lexer import Token, TokenKind, normalize, tokenize
+from nsra.lexer import ARTICLES, ORDINALS, STRUCTURE_WORDS, Token, TokenKind, normalize, tokenize
 from nsra.parser import parse_text
 from nsra.registry import _is_attribute_word
+from conftest import golden_text
 
 
 def kinds(tokens):
@@ -238,10 +242,11 @@ def test_normalized_spans_point_into_source():
 
 def test_span_and_token_compare_by_type_and_fields():
     span = Span(start=1, end=2)
-    token = Token(kind=TokenKind.WORD, text="of", span=span)
+    token = Token(kind=TokenKind.WORD, text="of", start=1, end=2)
     assert span == Span(1, 2) and hash(span) == hash(Span(1, 2))
-    assert token == Token(TokenKind.WORD, "of", Span(1, 2))
-    assert {token: "of"}[Token(TokenKind.WORD, "of", Span(1, 2))] == "of"
+    assert token == Token(TokenKind.WORD, "of", 1, 2) and token.span == span
+    assert {token: "of"}[Token(TokenKind.WORD, "of", 1, 2)] == "of"
+    assert token != Token(TokenKind.IDENT, "of", 1, 2) and token != Token(TokenKind.WORD, "of", 1, 3)
     assert token != span and span != token
     assert repr(Span(1, 2)) == "Span(start=1, end=2)"
     with pytest.raises(AttributeError):
@@ -251,3 +256,151 @@ def test_span_and_token_compare_by_type_and_fields():
 def test_backwards_span_rejected():
     with pytest.raises(ValueError, match="backwards span: 3..1"):
         Span(3, 1)
+
+
+# --- the named-group scanner, kept as an oracle ------------------------------
+#
+# ``tokenize`` and ``normalize`` as they were before tokens kept their source
+# range as two integers: one named group per kind in a ``finditer`` scan, a
+# ``Span`` per token, and ``doesn't`` expanded in a pass of its own before the
+# possessives.  Tokens here are ``(kind, text, span)`` triples.
+
+_ORACLE_SCANNER = re.compile(
+    r"""
+    \s*(?:
+      (?P<STRING>["“”][^"”]*["”])
+    | (?P<LIST_OPEN>\[)
+    | (?P<LIST_CLOSE>\])
+    | (?P<COMMA>,)
+    | (?P<PERIOD>\.)
+    | (?P<POSSESSIVE>['’][sS](?![A-Za-z0-9_]))
+    | (?P<INT>\d+)
+    | (?P<WORD>[A-Za-z0-9_]+['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)
+    | (?P<IDENT>[A-Za-z0-9_]+)
+    | (?P<error>\S)
+    )?
+    """,
+    re.VERBOSE,
+)
+_ORACLE_KINDS = {**dict.fromkeys(STRUCTURE_WORDS, TokenKind.WORD), **dict.fromkeys(ORDINALS, TokenKind.ORDINAL)}
+_ORACLE_STOPPERS = {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
+_NAMES = (TokenKind.IDENT, TokenKind.WORD)
+
+
+def oracle_tokenize(text):
+    tokens = []
+    for m in _ORACLE_SCANNER.finditer(text):
+        if m.lastgroup is None:
+            break
+        start, end = m.span(m.lastgroup)
+        value, ch = text[start:end], text[start]
+        if m.lastgroup == "error":
+            if ch in "\"“”":
+                raise UnterminatedString("unterminated string literal", Span(start, len(text)))
+            message = f"stray {ch!r}" if ch in "'’" else f"illegal character {ch!r}"
+            raise IllegalCharacter(message, Span(start, end))
+        kind = TokenKind[m.lastgroup]
+        if kind is TokenKind.IDENT:
+            kind = _ORACLE_KINDS.get(value.lower(), TokenKind.IDENT)
+        tokens.append((kind, value[1:-1] if kind is TokenKind.STRING else value, Span(start, end)))
+    return tokens
+
+
+def oracle_normalize(tokens):
+    expanded = []
+    for kind, text, span in tokens:
+        if kind is TokenKind.WORD and text.lower() in ("doesn't", "doesn’t"):
+            expanded += [(TokenKind.WORD, "does", span), (TokenKind.WORD, "not", span)]
+        else:
+            expanded.append((kind, text, span))
+    out, start, end, i = [], -1, -1, 0
+    while i < len(expanded):
+        kind, text, span = expanded[i]
+        if kind is not TokenKind.POSSESSIVE:
+            out.append(expanded[i])
+            i += 1
+            continue
+        if len(out) != end:
+            if not out or out[-1][0] not in _NAMES:
+                raise IllegalCharacter("possessive marker without a possessor", span)
+            start = len(out) - 1
+        j = i + 1
+        if j < len(expanded) and expanded[j][0] is TokenKind.ORDINAL:
+            j += 1
+        if j >= len(expanded) or expanded[j][0] not in _NAMES:
+            raise IllegalCharacter("possessive marker without an attribute", span)
+        out[start:] = [*expanded[i + 1 : j + 1], (TokenKind.WORD, "of", span), *out[start:]]
+        end, i = len(out), j + 1
+    result = []
+    for k, (kind, text, span) in enumerate(out):
+        if kind is TokenKind.WORD and text.lower() in ARTICLES:
+            nxt = out[k + 1] if k + 1 < len(out) else None
+            if nxt and nxt[0] in (*_NAMES, TokenKind.ORDINAL) and nxt[1].lower() not in _ORACLE_STOPPERS:
+                continue
+            kind = TokenKind.IDENT
+        result.append((kind, text, span))
+    return result
+
+
+def outcome(fn, *args):
+    """The triples ``fn`` returns, or the class, message and span of the
+    ``SourceError`` it raises."""
+    try:
+        return [(t.kind, t.text, t.span) if isinstance(t, Token) else t for t in fn(*args)]
+    except SourceError as err:
+        return type(err), err.message, err.span
+
+
+# Pieces that join, with nothing or with whitespace between them, into
+# contractions, possessives of both apostrophes before ``s``, ``S`` and
+# other letters, strings in both kinds of quotes, and characters only
+# ``\d``, ``str.isalpha`` or ``str.isspace`` read as their own.
+_PIECES = st.sampled_from(
+    ["x", "a", "The", "is", "not", "of", "first", "name", "init", "_v", "s", "S", "t", "42", "٣", "²", "é"]
+    + ["'", "’", "'s", "’s", "'S", "'t", "’x", "doesn't", "doesn’t", "DOESN'T", '"', "“", "”", '"RSA"']
+    + ["“AES”", "[", "]", ",", ".", ";", "", " ", "\n", "\t", "\u00a0", "\u2003", "\u3000"]
+)
+
+
+@given(st.lists(_PIECES, max_size=24).map("".join))
+@example("x is a variable. x's doesn't is 1.")
+@example("x is a variable. x's first doesn’t invoke init.")
+@example("doesn't's name is \u00a0“AES” and ٣٣ is 1.")
+@settings(max_examples=500, deadline=None)
+def test_tokenize_and_normalize_agree_with_the_named_group_scanner(text):
+    assert outcome(tokenize, text) == outcome(oracle_tokenize, text)
+    assert outcome(lambda: normalize(tokenize(text))) == outcome(lambda: oracle_normalize(oracle_tokenize(text)))
+
+
+@pytest.mark.parametrize(
+    "text, normalized",
+    [
+        ("x's doesn't is 1.", ["does", "of", "x", "not", "is", "1", "."]),
+        ("x's first doesn’t invoke init.", ["first", "does", "of", "x", "not", "invoke", "init", "."]),
+    ],
+)
+def test_doesnt_after_a_possessive_expands_as_an_attribute_word(text, normalized):
+    """The possessive's attribute word reads as ``does``, and ``not`` follows
+    the phrase, where both take the contraction's source range."""
+    tokens = normalize(tokenize(text))
+    assert [t.text for t in tokens] == normalized
+    doesnt = next(t for t in tokenize(text) if t.text.lower().startswith("doesn"))
+    assert [(t.start, t.end) for t in tokens if t.text in ("does", "not")] == [(doesnt.start, doesnt.end)] * 2
+
+
+def test_doesnt_after_a_possessive_is_a_parse_error_at_the_contraction():
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_text("x is a variable. x's doesn't is 1.")
+    assert (info.value.message, info.value.span) == ("unexpected 'not' (expected is)", Span(21, 28))
+
+
+def test_tokenize_and_normalize_build_no_span(monkeypatch):
+    def no_span(*args):
+        raise AssertionError("a Span was built")
+
+    monkeypatch.setattr(nsra.lexer, "Span", no_span)
+    goldens = [golden_text(f"{name}.nsra") for name in ("example_invoke", "task1", "task2", "task3")]
+    # And every rewrite: a contraction, one after a possessive, a chain, an
+    # article that is a subject.
+    for text in [*goldens, "x's doesn't is 1. m doesn’t invoke g. m's first argument's name is [1, ٣]. a is b."]:
+        assert normalize(tokenize(text))

@@ -389,6 +389,8 @@ def test_ir_nodes_compare_by_type_and_fields():
     assert hash(Decl("init", "MethodAccess")) == hash(Decl("init", "MethodAccess"))
     assert {Eq(a, b): 1, Lt(a, b): 2}[Lt(Var("a"), b)] == 2
     assert TrueExpr() == TRUE and hash(TrueExpr()) == hash(TRUE)
+    # A node hashes as the tuple of its fields, whatever their number.
+    assert (hash(TRUE), hash(Var("x")), hash(Decl("m", "T"))) == (hash(()), hash(("x",)), hash(("m", "T")))
     assert repr(Var("x")) == "Var(name='x')"
     assert repr(Exists(Decl("m", "MethodAccess"), TRUE)) == (
         "Exists(decl=Decl(var_name='m', ql_type='MethodAccess'), body=TrueExpr())"
