@@ -1,6 +1,7 @@
 """nsra: compile controlled-English program-analysis queries to CodeQL.
 
-The pipeline is tokenize -> normalize -> parse -> lower -> render; the
+The pipeline is tokenize -> normalize -> parse -> lower -> render; no stage
+before the parser moves a token, and the parser reads possessives too.  The
 ``metrics`` module adds Halstead comparisons between the two notations.
 """
 

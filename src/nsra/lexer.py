@@ -4,9 +4,9 @@
 whitespace between them, cover the input.  It is one regex ``findall`` that
 yields each token's source text, whose first character tells its kind, and
 it builds one small object per token; a ``Span`` is built only for a
-diagnostic.  ``normalize`` then rewrites the token stream into the canonical
-surface form the parser understands: contractions expanded, possessives
-turned into ``of`` phrases, and articles dropped.
+diagnostic.  ``normalize`` then applies the word-level paraphrase rules
+without moving a token: contractions expanded and articles dropped.  The
+parser reads possessives itself.
 """
 
 from __future__ import annotations
@@ -96,15 +96,15 @@ STRUCTURE_WORDS = frozenset(
     | ARTICLES
 )
 
-# An article is dropped as a determiner, unless the next word is one of these
-# statement keywords: then the article is itself a subject, as the identifier
-# "a" is in "a is b.".
-_ARTICLE_STOPPERS = frozenset(
-    {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
-)
-
 # The contraction ``normalize`` expands to ``does not``, case-folded.
 _DOESNT = frozenset({"doesn't", "doesn’t"})
+
+# An article is dropped as a determiner, unless the next word is one of these
+# statement keywords, the contraction among them: then the article is itself
+# a subject, as the identifier "a" is in "a is b.".
+_ARTICLE_STOPPERS = frozenset(
+    {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
+) | _DOESNT
 
 # Each match is a skip prefix of whitespace, then one token: one alternative
 # per token kind, tried in order, as in the "Writing a Tokenizer" recipe of
@@ -172,69 +172,24 @@ def tokenize(text: str) -> list[Token]:
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
-    """Rewrite a token stream into canonical surface form.
-
-    Two passes over the tokens:
-
-    1. ``doesn't`` (or typographic ``doesn’t``) expands to ``does not``, and
-       possessives ``X 's [ordinal] attr`` become ``[ordinal] attr of X``.
-    2. Articles drop, unless the following token is a statement keyword, so
-       a bare identifier spelled ``a`` survives (``a is b.``).
+    """Apply the two word-level paraphrase rules in one pass that keeps
+    token order: ``doesn't`` (or typographic ``doesn’t``) expands to ``does
+    not``, both taking the contraction's source range, and an article drops
+    as a determiner unless the next token is no word or a statement keyword,
+    when it is an identifier spelled ``a`` or ``the`` (``a is b.``).
 
     Idempotent: normalizing canonical output returns it unchanged.
-    Synthesized tokens take the source range of the token they replace.
-    """
-    out = _rewrite_possessives(tokens)
-    result: list[Token] = []
-    for tok, nxt in zip(out, [*out[1:], None]):
-        if tok.kind is WORD and tok.text.lower() in ARTICLES:
-            if nxt is not None and nxt.kind in _WORD_KINDS and nxt.text.lower() not in _ARTICLE_STOPPERS:
-                continue
-            # An article not determining a noun phrase is really an
-            # identifier that happens to be spelled "a" (as in "a is b.").
-            tok = Token(IDENT, tok.text, tok.start, tok.end)
-        result.append(tok)
-    return result
-
-
-def _rewrite_possessives(tokens: list[Token]) -> list[Token]:
-    """Expand ``doesn't`` and turn ``X 's [ordinal] attr`` into ``[ordinal]
-    attr of X``, in one left-to-right pass.
-
-    The possessor ``X`` is the word before ``'s``, or, when ``'s`` directly
-    follows a rewritten phrase, that whole phrase: possessive chains read
-    left to right, so ``m's method's name`` becomes ``name of method of m``.
-    An attribute word spelled ``doesn't`` reads as ``does`` with ``not``
-    after the phrase, as if the contraction had been expanded first.
     """
     out: list[Token] = []
-    start = end = -1  # out[start:end] is the last rewritten phrase
-    i, n = 0, len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not POSSESSIVE:
-            if tok.kind is WORD and tok.text.lower() in _DOESNT:
+    for tok, nxt in zip(tokens, [*tokens[1:], None]):
+        if tok.kind is WORD:
+            folded = tok.text.lower()
+            if folded in _DOESNT:
                 out += (Token(WORD, "does", tok.start, tok.end), Token(WORD, "not", tok.start, tok.end))
-            else:
-                out.append(tok)
-            i += 1
-            continue
-        if len(out) != end:
-            if not out or out[-1].kind not in (IDENT, WORD):
-                raise IllegalCharacter("possessive marker without a possessor", tok.span)
-            start = len(out) - 1
-        j = i + 1
-        if j < n and tokens[j].kind is ORDINAL:
-            j += 1
-        attr = tokens[j] if j < n else None
-        if attr is None or attr.kind not in (IDENT, WORD):
-            raise IllegalCharacter("possessive marker without an attribute", tok.span)
-        negated = attr.kind is WORD and attr.text.lower() in _DOESNT
-        if negated:
-            attr = Token(WORD, "does", attr.start, attr.end)
-        out[start:] = [*tokens[i + 1 : j], attr, Token(WORD, "of", tok.start, tok.end), *out[start:]]
-        end = len(out)
-        if negated:
-            out.append(Token(WORD, "not", attr.start, attr.end))
-        i = j + 1
+                continue
+            if folded in ARTICLES:
+                if nxt is not None and nxt.kind in _WORD_KINDS and nxt.text.lower() not in _ARTICLE_STOPPERS:
+                    continue
+                tok = Token(IDENT, tok.text, tok.start, tok.end)
+        out.append(tok)
     return out

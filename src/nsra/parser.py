@@ -4,16 +4,18 @@ Precedence, tightest first: basic/pattern units, ``it is false that`` (binds
 one unit), ``and``, ``or``.  ``if .. then ..`` takes a full or-chain as its
 condition and an and-chain as its consequence, which is how the worked
 queries group.  Necessity statements are admitted only at sentence level.
+The tokens are in source order: a possessive ``X's [ordinal] attr`` is read
+as a postfix on the name before it, so ``m's method's name`` is the name of
+the method of ``m``, as ``the name of the method of m`` is.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
-from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, STRING, WORD, Token, TokenKind
-from .lexer import ORDINALS, normalize, tokenize
-from .qlgen import QL_KEYWORDS
+from .errors import EmptyList, IllegalCharacter, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
+from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, POSSESSIVE, STRING, WORD, Token
+from .lexer import ORDINALS, TokenKind, normalize, tokenize
 from .syntax import (
     AndStmt,
     Basic,
@@ -36,10 +38,22 @@ from .syntax import (
 
 _TYPE_NOUNS = {("variable",): "variable", ("class",): "class", ("method", "access"): "method access"}
 
-# How deeply ``it is false that``, ``if .. then`` and attribute prefixes may
-# nest, together: every later stage recurses once or a few times per level,
-# and this depth leaves them room under Python's default recursion limit.
+# How deeply ``it is false that``, ``if .. then`` and attribute phrases, a
+# possessive among them, may nest, together: every later stage recurses once
+# or a few times per level, and this depth leaves them room under Python's
+# default recursion limit.
 MAX_NESTING = 100
+
+_NO_POSSESSOR = "possessive marker without a possessor"
+
+# CodeQL's reserved words, from the lexical syntax of the QL language
+# specification.  A name that the lowering may make a QL variable must be
+# none of them; ``qlgen.QL_KEYWORDS`` is the smaller set the QL reader parses.
+QL_RESERVED_WORDS = frozenset(
+    "and any as asc avg boolean by class concat count date desc else exists extends false float forall forex from"
+    " if implies import in instanceof int max min module newtype none not or order predicate rank result select"
+    " strictconcat strictcount strictsum string sum super then this true unique where".split()
+)
 
 
 class _Cursor:
@@ -195,6 +209,9 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
         return _invocation(cur)
     if cur.at_word("signature"):
         return _signature(cur)
+    if cur.at_kind(POSSESSIVE, 1) and cur.at_word("signature", offset=2) and cur.at_kind(IDENT):
+        cur.pos += 3  # m 's signature
+        return _signature_rest(cur, cur.tokens[cur.pos - 3].text)
     if cur.at_word("is"):
         return _elliptical_signature(cur, previous)
     if cur.at_kind(IDENT) and cur.at_word("precedes", "follows", offset=1):
@@ -310,13 +327,13 @@ def _literal(cur: _Cursor) -> Literal:
     tok = cur.peek()
     if tok is None:
         raise cur.error("a literal")
-    if tok.kind is STRING:
-        cur.take()
-        return Literal(tok.text)
-    if tok.kind is INT:
-        cur.take()
-        return Literal(tok.int_value())
-    raise cur.error("a string or integer literal")
+    if tok.kind is not STRING and tok.kind is not INT:
+        raise cur.error("a string or integer literal")
+    lit = Literal(tok.text if tok.kind is STRING else tok.int_value())
+    cur.take()
+    if cur.at_kind(POSSESSIVE):  # a literal has no attributes
+        raise IllegalCharacter(_NO_POSSESSOR, cur.peek().span)
+    return lit
 
 
 def _literal_list(cur: _Cursor, item: Callable[[_Cursor], Literal] = _literal) -> tuple[Literal, ...]:
@@ -366,12 +383,32 @@ def _exp(cur: _Cursor) -> Exp:
             return Prefixed(word, None, inner)
         if tok.kind is IDENT:
             cur.take()
-            return Ident(_name(tok))
+            return _possessives(cur, Ident(_name(tok)))
+    if tok.kind is POSSESSIVE:
+        raise IllegalCharacter(_NO_POSSESSOR, tok.span)
     raise cur.error("an expression")
 
 
+def _possessives(cur: _Cursor, owner: Exp) -> Exp:
+    """``owner's [ordinal] attr``, repeated: each ``'s`` takes the phrase
+    before it as its possessor, so a chain reads left to right.  Each
+    possessive is one level of nesting, opened at its ordinal or attribute."""
+    depth = cur.depth
+    while cur.at_kind(POSSESSIVE):
+        marker = cur.take()
+        value = ORDINALS[cur.peek().text.lower()] if cur.at_kind(ORDINAL) else None
+        attr = cur.word(0 if value is None else 1)
+        if not attr:
+            raise IllegalCharacter("possessive marker without an attribute", marker.span)
+        cur.descend()
+        cur.pos += 1 if value is None else 2
+        owner = Prefixed(attr, value, owner)
+    cur.depth = depth
+    return owner
+
+
 def _name(tok: Token) -> str:
-    """A name that the lowering may make a QL variable, which the QL reader must not read as a keyword."""
-    if tok.text in QL_KEYWORDS:
+    """A name that the lowering may make a QL variable, which CodeQL must not read as a reserved word."""
+    if tok.text in QL_RESERVED_WORDS:
         raise QuerySyntaxError(f"the CodeQL keyword {tok.text!r} cannot be a name", tok.span)
     return tok.text

@@ -33,6 +33,7 @@ from .ir import (
     Or,
     QlExpr,
     QueryIR,
+    TRUE,
     TrueExpr,
     Var,
 )
@@ -362,7 +363,10 @@ class QlReader:
         if op not in ("=", "<"):
             raise self.error("expected '=' or '<' in comparison")
         self.pos += 1
-        return Eq(left, self.read_value()) if op == "=" else Lt(left, self.read_value())
+        right = self.read_value()
+        if op == "<":
+            return Lt(left, right)
+        return TRUE if left == right == Lit(1) else Eq(left, right)  # ``1 = 1`` is how ``render`` spells TRUE
 
     def read_value(self) -> QlExpr:
         tok = self.tokens[self.pos]

@@ -223,6 +223,13 @@ def test_necessities_that_always_hold_match_nothing(registry, text):
     assert "where not (1 = 1)\n" in compile_text(text, registry)
 
 
+def test_an_equality_spelled_like_true_lowers_to_true(registry):
+    """``1 = 1`` is how QL text spells TRUE, so ``1 is 1`` lowers to TRUE and
+    reads back as what it lowered to."""
+    assert lower_text("x is a variable. It is false that 1 is 1.", registry).condition == Not(TRUE)
+    assert lower_text("x is a variable. 1 is 2.", registry).condition == Eq(Lit(1), Lit(2))
+
+
 def test_type_assumption_contributes_declaration(registry):
     ir = lower_text('var1 is a variable. the name of var1 is "x".', registry)
     assert [(d.var_name, d.ql_type) for d in ir.decls] == [("var1", "Variable")]

@@ -7,10 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from nsra.errors import EmptyList, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal, line_column
+from nsra.errors import (
+    EmptyList,
+    IllegalCharacter,
+    NestingTooDeep,
+    QuerySyntaxError,
+    Span,
+    UnknownOrdinal,
+    line_column,
+)
 from nsra.ir import TRUE, And, Chain, Decl, Eq, Exists, Lit, Lt, Not, Or, TrueExpr, Var
+from nsra.lexer import IDENT, tokenize
 from nsra.lowering import lower
-from nsra.parser import MAX_NESTING, parse_text
+from nsra.parser import MAX_NESTING, QL_RESERVED_WORDS, parse_text
 from nsra.qlgen import normalize_ql, read_query_text, render
 from nsra.syntax import (
     AndStmt,
@@ -110,6 +119,40 @@ def test_paraphrase_forms_identical():
     ]
     parsed = [single(f) for f in forms]
     assert parsed[0] == parsed[1] == parsed[2] == parsed[3]
+
+
+def test_an_article_after_a_possessive_or_its_ordinal_is_a_determiner():
+    of_phrase = single('the first argument of init is "x".')
+    for text in ('init\'s the first argument is "x".', 'init\'s first the argument is "x".'):
+        assert single(text) == of_phrase
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ('"x"\'s name is 1.', "possessive marker without a possessor", 3),
+        ('x is "x"\'s name.', "possessive marker without a possessor", 8),
+        ('x is in ["a"\'s].', "possessive marker without a possessor", 12),
+        ("'s name is 1.", "possessive marker without a possessor", 0),
+        ("x is 's name.", "possessive marker without a possessor", 5),
+        ("the name of 's x is 1.", "possessive marker without a possessor", 12),
+        ("x's .", "possessive marker without an attribute", 1),
+        ("x's first \"a\" is 1.", "possessive marker without an attribute", 1),
+        ("x's name's", "possessive marker without an attribute", 8),
+    ],
+)
+def test_possessive_marker_errors_point_at_the_marker(text, message, at):
+    with pytest.raises(IllegalCharacter) as info:
+        parse_text(text)
+    assert (info.value.message, info.value.span) == (message, Span(at, at + 2))
+
+
+def test_errors_come_in_text_order():
+    """A syntax error in one sentence is reported before a bad possessive
+    in a later one, which a token rewrite before the parse reported first."""
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_text('x is is 1. "a"\'s name is 1.')
+    assert info.value.span == Span(5, 7)
 
 
 def test_it_is_false_that():
@@ -424,13 +467,21 @@ def test_syntax_error_branches(text, message, at):
     assert (info.value.message, info.value.span.start) == (message, at)
 
 
-@pytest.mark.parametrize("keyword", ["from", "where", "select", "exists", "count"])
+# CodeQL's reserved words that lex as names, the ones the QL reader parses
+# first; the others are controlled-English keywords, which are no names either.
+_RESERVED_NAMES = ["from", "where", "select", "exists", "count"]
+_RESERVED_NAMES += sorted(w for w in QL_RESERVED_WORDS - {*_RESERVED_NAMES} if tokenize(w)[0].kind is IDENT)
+
+
+@pytest.mark.parametrize("keyword", _RESERVED_NAMES)
 @pytest.mark.parametrize(
     "template",
     ["An object of Cipher invokes {}.", "An object of Cipher does not invoke {}.", "{} is a variable.",
      "x is a variable. the name of x is {}."],
 )
 def test_ql_keywords_cannot_be_names(keyword, template):
+    """The benchmark generator names nothing so."""
+    assert keyword not in {*gen.METHODS, *gen.VARIABLES}
     text = template.format(keyword)
     with pytest.raises(QuerySyntaxError) as info:
         parse_text(text)
@@ -455,6 +506,7 @@ NESTINGS = {
     "the name of": (lambda n: "the name of " * n + _EQ, "name"),
     "if .. then, as the consequence": (lambda n: f"if {_EQ} then " * n + _EQ, "if"),
     "if .. then, as the condition": (lambda n: "if " * n + _EQ + f" then {_EQ}" * n, "if"),
+    "'s name": (lambda n: "init" + "'s name" * n + ' is "x"', "name"),
 }
 
 

@@ -171,6 +171,14 @@ def test_normalize_compares_imports_not_comments():
     )
 
 
+def test_one_equals_one_reads_as_true():
+    """``render`` spells TRUE ``1 = 1``, so the reader reads it back as TRUE
+    and ``normalize_ql`` drops a ``where 1 = 1`` clause."""
+    assert read_query_text("from T x\nwhere not (1 = 1)\nselect x").condition == Not(TRUE)
+    assert normalize_ql("from T x\nwhere 1 = 1\nselect x") == "from T x\nselect x\n"
+    assert read_query_text("select 1").condition == read_query_text("where 1 = 1 select 1").condition == TRUE
+
+
 def test_normalize_non_query_text_raises_at_its_position():
     fragment = 'where\n  x.getName( )="v"  and  y . getName() = "w"'
     with pytest.raises(QlLexError) as info:
@@ -207,8 +215,10 @@ def _values() -> st.SearchStrategy:
 
 
 def _atoms() -> st.SearchStrategy[BoolExpr]:
-    comparison = st.builds(Eq, _values(), _values()) | st.builds(Lt, _values(), _values())
-    return comparison
+    # ``1 = 1`` is how ``render`` spells TRUE, and the reader reads it so; the
+    # lowering makes TRUE of an equality it would spell so.
+    equality = st.builds(Eq, _values(), _values()).map(lambda e: TRUE if e == Eq(Lit(1), Lit(1)) else e)
+    return equality | st.builds(Lt, _values(), _values())
 
 
 def _conditions() -> st.SearchStrategy[BoolExpr]:

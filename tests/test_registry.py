@@ -17,14 +17,19 @@ from nsra.errors import (
     UnknownAttribute,
 )
 from nsra.ir import Chain, Eq, Lit, Var
+from nsra.lexer import ORDINALS, STRUCTURE_WORDS
+from nsra.parser import QL_RESERVED_WORDS, parse_query
 from nsra.qlgen import read_query_text
 from nsra.registry import (
     AttributeRule,
     Registry,
+    _is_attribute_word,
     builtin_crypto_profile,
     load_profile,
     lookup_attribute,
 )
+from nsra.syntax import Basic, Ident, Literal, Prefixed, QueryAst
+from front_end_oracle import reference_tokens
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +327,24 @@ _POSSESSIVE_ONLY_KEYS = ["and", "or", "in", "then", "does", "invoke", "invokes",
 )
 def test_rule_keys_are_one_word_and_not_an_ordinal(key):
     assert error_at(f"{key} = getX()") == (f"the parser does not read {key!r} as an attribute word", key)
+
+
+def test_rule_keys_are_the_words_the_possessive_rewrite_read_as_attributes(builtin):
+    """The keys the parser reads as attribute words in both phrasings are
+    those it read when a token rewrite turned possessives into of-phrases."""
+
+    def read_before(key):
+        expected = QueryAst((Basic(Prefixed(key.lower(), None, Ident("x")), Literal(1)),))
+        try:
+            return all(
+                parse_query(reference_tokens(text)) == expected for text in (f"the {key} of x is 1.", f"x's {key} is 1.")
+            )
+        except SourceError:
+            return False
+
+    keys = {*STRUCTURE_WORDS, *ORDINALS, *QL_RESERVED_WORDS, *builtin.rules, *_UNREADABLE_KEYS, *_POSSESSIVE_ONLY_KEYS}
+    keys |= {key.upper() for key in keys} | {"of", "s", "x_1", "doesn’t", "DOESN'T", "it's", "a b", "'s", "1"}
+    assert {key for key in keys if _is_attribute_word(key)} == {key for key in keys if read_before(key)}
 
 
 def test_rule_keys_the_parser_reads_as_words():
