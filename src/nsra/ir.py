@@ -112,6 +112,10 @@ class TrueExpr(Record):
 
 TRUE = TrueExpr()
 
+# Each side of ``1 = 1``, how ``render`` spells TRUE: a comparison of it with
+# itself reads and lowers as TRUE.
+TRUE_OPERAND = Lit(1)
+
 BoolExpr = Eq | Lt | And | Or | Not | Exists | TrueExpr
 
 

@@ -31,6 +31,7 @@ from .ir import (
     QlExpr,
     QueryIR,
     TRUE,
+    TRUE_OPERAND,
     TrueExpr,
     Var,
     conjoin,
@@ -244,8 +245,7 @@ def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> Bo
             # resolved again now that both sides are known to resolve.
             if "string" in (_result_kind(stmt.lhs, reg), _result_kind(stmt.rhs, reg)):
                 lhs, rhs = (resolve_exp(e, reg, declared, True) for e in (stmt.lhs, stmt.rhs))
-        # ``1 = 1`` is how QL text spells TRUE, and the QL reader reads it so.
-        cond = TRUE if lhs == rhs == Lit(1) else Eq(lhs, rhs)
+        cond = TRUE if lhs == rhs == TRUE_OPERAND else Eq(lhs, rhs)
     return Not(cond) if stmt.negated else cond
 
 

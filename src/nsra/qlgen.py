@@ -3,18 +3,19 @@ by golden tests.
 
 ``render`` turns a QueryIR into query text with minimal parenthesization
 (plus parentheses around every negation operand and existential body).
-``lex_ql`` and ``QlReader`` read QL text: a token is its source text,
-comments are skipped, leading ``import`` lines are read apart from the
-query, and the query must be in the subset the renderer emits, one comma
-between list items; anything else, an integer too long for ``int``
-included, is a ``QlLexError`` at its position.  ``normalize_ql`` re-reads
-query text and re-renders it one clause per line, so texts differing only
-in whitespace, comments or redundant grouping normalize to identical bytes.
-Token order is preserved; nothing is sorted.
+``lex_ql`` reads QL text in one scan, a token its source text and a comment
+a match with no token; ``QlReader`` reads leading ``import`` lines apart from
+the query, which must be in the subset the renderer emits, one comma between
+list items.  Anything else, an integer too long for ``int`` included, is a
+``QlLexError`` at its position.  ``normalize_ql`` re-reads query text and
+re-renders it one clause per line, so texts differing only in whitespace,
+comments or redundant grouping normalize to identical bytes.  Token order is
+preserved; nothing is sorted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -34,6 +35,7 @@ from .ir import (
     QlExpr,
     QueryIR,
     TRUE,
+    TRUE_OPERAND,
     TrueExpr,
     Var,
 )
@@ -90,16 +92,16 @@ def _bool_text(e: BoolExpr, parent_prec: int = 0) -> str:
 
 def _wrap(first: str, parts: list[str], sep: str, line_width: float) -> list[str]:
     """Greedy line fill; the separator stays at the end of the broken line."""
-    lines: list[str] = []
-    current = first + parts[0]
+    lines: list[str] = []  # each line's parts are joined once, at its end; ``width`` is its length
+    line, width = [first + parts[0]], len(first) + len(parts[0])
     for part in parts[1:]:
-        candidate = current + sep + part
-        if len(candidate) > line_width and len(current) > len(first):
-            lines.append(current + sep.rstrip())
-            current = _INDENT + part
+        if width + len(sep) + len(part) > line_width and width > len(first):
+            lines.append(sep.join(line) + sep.rstrip())
+            line, width = [_INDENT + part], len(_INDENT) + len(part)
         else:
-            current = candidate
-    lines.append(current)
+            line.append(part)
+            width += len(sep) + len(part)
+    lines.append(sep.join(line))
     return lines
 
 
@@ -166,16 +168,15 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
 # --- QL token stream ---------------------------------------------------------
 
 # A QL token is its source text: a string literal keeps its quotes, so its
-# first character tells its kind, and no two kinds share a spelling.  Each
-# match is a skip prefix, then one token.  The prefix takes whitespace and the
-# two comment forms of the QL language reference's "Lexical syntax" (QLDoc is
-# a ``/** */`` comment).  The token is a string literal, a decimal integer, a
-# word, or what ``lex_ql`` rejects: an unterminated comment, taken to the end
-# of the text so that the scan stays linear, or any other single character.
-# The token group is optional, so a match never fails and never backtracks
-# into a comment; it is empty only in the last match or two, at the end of
-# the text.
-_QL_TOKEN = re.compile(r'(?:\s+|//[^\n]*|/\*.*?\*/)*("[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d]\w*|/\*.*|\S)?', re.DOTALL)
+# first character tells its kind, and no two kinds share a spelling.  A match
+# is a comment, of one of the two forms of the QL language reference's
+# "Lexical syntax" (QLDoc is a ``/** */`` comment), or one token in group 1;
+# the comments are tried first, so a comment is never read as tokens, and its
+# match holds no token.  Whitespace matches nothing, so ``findall``'s search
+# skips it.  The token is a string literal, a decimal integer, a word, or what
+# ``lex_ql`` rejects: an unterminated comment, taken to the end of the text so
+# that the scan stays linear, or any other single character.
+_QL_TOKEN = re.compile(r'//[^\n]*|/\*.*?\*/|("[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d]\w*|/\*.*|\S)', re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # Inside string literals, a lone space between identifier-ish capitals is a
@@ -210,19 +211,16 @@ def _lexes(tok: str) -> bool:
     return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in ".,()[]|=<"
 
 
-def _token_span(text: str, index: int) -> Span:
-    """Token ``index``, scanned again; past the last token, the end of the text."""
-    for i, m in enumerate(_QL_TOKEN.finditer(text)):
-        if i == index and m.start(1) >= 0:
-            return Span(*m.span(1))
-    return Span(len(text), len(text))
+def _token_span(text: str, index: int, start: int = 0, end: int | None = None) -> Span:
+    """Token ``index`` of ``text[start:end]``, scanned again; past the last token, the end."""
+    end = len(text) if end is None else end
+    spans = (m.span(1) for m in _QL_TOKEN.finditer(text, start, end) if m.start(1) >= 0)  # a comment's is -1
+    return Span(*next(itertools.islice(spans, index, None), (end, end)))
 
 
 def lex_ql(text: str) -> list[str]:
     """The QL tokens of ``text``, each its source text; comments are skipped."""
-    tokens = _QL_TOKEN.findall(text)
-    while tokens and not tokens[-1]:  # the empty matches at the end of the text
-        tokens.pop()
+    tokens = [*filter(None, _QL_TOKEN.findall(text))]  # a comment's match is empty
     bad = [tok for tok in set(tokens) if not _lexes(tok)]
     if not bad:
         return tokens
@@ -366,7 +364,7 @@ class QlReader:
         right = self.read_value()
         if op == "<":
             return Lt(left, right)
-        return TRUE if left == right == Lit(1) else Eq(left, right)  # ``1 = 1`` is how ``render`` spells TRUE
+        return TRUE if left == right == TRUE_OPERAND else Eq(left, right)
 
     def read_value(self) -> QlExpr:
         tok = self.tokens[self.pos]
@@ -384,14 +382,27 @@ class QlReader:
         if not _is_ident(tok):
             message = f"unexpected {self.shown(tok)!r} in value position" if tok else "expected a value"
             raise self.error(message, self.pos - 1)
+        toks, i = self.tokens, self.pos
         steps: list[str] = []
-        while self.tokens[self.pos] == ".":
-            self.pos += 1
-            name = self.expect()
-            self.expect("(")
-            args = self.read_list(_is_literal, "call arguments", ")") if self.tokens[self.pos] != ")" else []
-            self.pos += 1
-            steps.append(f"{name}({', '.join(map(self.literal, args))})")
+        while toks[i] == ".":  # a call ``.name(args)``, read by index; ``expect`` and ``read_list`` only raise
+            name = toks[i + 1]
+            if not _is_ident(name) or toks[i + 2] != "(":
+                self.pos = i + 1
+                self.expect()
+                self.expect("(")
+            j = i + 3  # then the index of the call's ")"
+            if toks[j] == ")":
+                steps.append(name + "()")
+            else:
+                while _is_literal(toks[j]) and toks[j + 1] == ",":
+                    j += 2
+                if not (_is_literal(toks[j]) and toks[j + 1] == ")"):
+                    self.pos = i + 3
+                    self.read_list(_is_literal, "call arguments", ")")
+                j += 1
+                steps.append(f"{name}({', '.join(map(self.literal, toks[i + 3 : j : 2]))})")
+            i = j + 1
+        self.pos = i
         return Chain(Var(tok), tuple(steps)) if steps else Var(tok)
 
 

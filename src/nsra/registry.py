@@ -24,7 +24,7 @@ from .errors import (
     TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, SourceError, Span, UnknownAttribute
 )
 from .parser import _TYPE_NOUNS, parse_text
-from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, escape_string
+from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, _token_span, escape_string
 from .syntax import Basic, Ident, Literal, Prefixed, QueryAst
 
 # Call names whose result is directly comparable to a string literal.
@@ -176,17 +176,15 @@ def _is_attribute_word(key: str) -> bool:
 def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:
     """The rule for ``word`` whose template is ``text[start:end]``, read
     with the QL scanner so that its literals are what ``QlReader`` reads."""
-    tokens = _QL_TOKEN.findall(text, start, end)  # ends with "", the end of the template
+    tokens = _QL_TOKEN.findall(text, start, end)
+    if "" in tokens:  # the match of a QL comment, which holds no token
+        at = next(m.start() for m in _QL_TOKEN.finditer(text, start, end) if m[1] is None)
+        raise ConfigParseError("unexpected '/' in template", Span(at, at + 1))
+    tokens.append("")  # the end of the template
 
-    def span(k: int) -> Span:  # of token k, scanned again
-        m = [*_QL_TOKEN.finditer(text, start, end)][k]
-        return Span(m.end() - len(m[1] or ""), m.end())
+    def span(k: int) -> Span:
+        return _token_span(text, k, start, end)
 
-    if text.count("/", start, end) != "".join(tokens).count("/"):  # the scanner skipped a QL comment
-        for m in _QL_TOKEN.finditer(text, start, end):
-            at = text.find("/", m.start(), m.end() - len(m[1] or ""))  # in the skipped text before the token
-            if at >= 0:
-                raise ConfigParseError("unexpected '/' in template", Span(at, at + 1))
     steps: list[str] = []
     slot, i = None, 0
     while True:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsra.errors import QlLexError, line_column
+from nsra.errors import QlLexError, SourceError, line_column
 from nsra.ir import (
     And,
     BoolExpr,
@@ -27,12 +29,17 @@ from nsra.ir import (
 from nsra.metrics import halstead_ql
 from nsra.qlgen import (
     _QL_TOKEN,
+    _wrap,
     lex_ql,
     normalize_ql,
     read_query_text,
     render,
 )
 from conftest import QL_PREAMBLES, golden_text
+from ql_oracle import as_parent, oracle_lex_ql, oracle_wrap
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded query generator
 
 
 def eq(name: str, value: str = "v") -> Eq:
@@ -353,7 +360,7 @@ def test_ql_reader_returns_or_raises_at_a_token(text):
     """Each reader returns or raises ``QlLexError`` at a token's start or at
     the end of the text, and what ``normalize_ql`` returns reads back to
     itself."""
-    starts = {m.start(1) for m in _QL_TOKEN.finditer(text)} | {len(text)}
+    starts = {m.start(1) for m in _QL_TOKEN.finditer(text) if m[1]} | {len(text)}  # a comment's match holds no token
     for read in (normalize_ql, read_query_text, halstead_ql):
         try:
             out = read(text)
@@ -362,3 +369,52 @@ def test_ql_reader_returns_or_raises_at_a_token(text):
         else:
             if read is normalize_ql:
                 assert normalize_ql(out) == out
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: its result, or its error's class, message and span."""
+    try:
+        return read(text)
+    except SourceError as err:
+        return type(err), err.message, err.span
+
+
+def _generated_ql(seed: int, size: int, mutate: bool) -> str:
+    """A ``large`` query's reference QL, as written or with one token swapped."""
+    text = gen.Generator(seed).large(size).expected_ql
+    if not mutate:
+        return text
+    tokens = lex_ql(text)
+    i, j = seed % len(tokens), (seed * 7919) % len(tokens)
+    tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(tokens)
+
+
+@given(
+    _mutated_golden()
+    | st.lists(st.sampled_from(QL_ALPHABET), max_size=30).map("".join)
+    | st.builds(_generated_ql, st.integers(0, 10**6), st.sampled_from((8, 40, 100)), st.booleans())
+)
+@example("/** doc */ import java // x\nfrom T x where x.f(/* c */ 1) = 1 select x")
+@example("from T x where x.f() = 1 select x /* never closed")
+@settings(max_examples=300, deadline=None)
+def test_ql_read_path_matches_the_skip_prefix_oracle(text):
+    """The scan without a skip prefix and the indexed chain reader give the
+    old path's tokens, IR, normalized text and counts, or its error."""
+    reads = (read_query_text, normalize_ql, halstead_ql)
+    new = [_outcome(lex_ql, text), *(_outcome(read, text) for read in reads)]
+    with as_parent():
+        old = [_outcome(oracle_lex_ql, text), *(_outcome(read, text) for read in reads)]
+    assert new == old
+
+
+@given(
+    st.sampled_from(("from ", "where ", "select ")),
+    st.lists(st.text("ab( ", max_size=60), min_size=1, max_size=12),
+    st.sampled_from((", ", " and ", " or ", " ")),
+    st.sampled_from((40, 100, math.inf)),
+)
+@example("from ", ["", "x" * 50], ", ", 40)  # a line as long as its keyword does not break
+@example("where ", ["a" * 30, "b" * 30, "cccc", "d" * 40], " and ", 40)
+def test_wrap_equals_the_greedy_loop(first, parts, sep, line_width):
+    assert _wrap(first, parts, sep, line_width) == oracle_wrap(first, parts, sep, line_width)

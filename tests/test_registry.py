@@ -30,6 +30,7 @@ from nsra.registry import (
 )
 from nsra.syntax import Basic, Ident, Literal, Prefixed, QueryAst
 from front_end_oracle import reference_tokens
+from ql_oracle import as_parent
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +414,32 @@ def test_templates_render_what_the_ql_reader_reads(template):
     steps = rule.render_steps(3 if rule.has_ordinal_slot else None)
     ir = read_query_text(f'from MethodAccess m where m.{".".join(steps)} = "x" select m')
     assert ir.condition == Eq(Chain(Var("m"), steps), Lit("x"))
+
+
+TEMPLATE_PIECES = (
+    "getName()", "getArgument(@ordinal)", 'f("a", 1)', "/* c */", "/** d */", "//x", "/", "*", " ", ".",
+    "g()", "(", ")", ",", '"', "@", "1", "x", "/*", "*/", '"/*"', '"//"',
+)
+
+
+def _loaded(text: str):
+    """``load_profile``'s registry for ``text``, or its error's class, message and span."""
+    try:
+        return load_profile(text, base=Registry())
+    except SourceError as err:
+        return type(err), err.message, err.span
+
+
+@given(
+    st.lists(st.sampled_from(TEMPLATE_PIECES), min_size=1, max_size=8).map("".join), st.sampled_from(TEMPLATE_PIECES)
+)
+@example("f() // a comment", "g()")
+@example("f(/* a */ 1) /* b */", "g()")
+@settings(max_examples=300, deadline=None)
+def test_template_comments_load_or_fail_as_with_the_skip_prefix_scan(template, other):
+    """A template read with the one QL token pattern gives the rule or the
+    error, at the same span, that the old skip-prefix scan gave."""
+    text = f"# a rule\nx =  {template}\ny = {other}\n"
+    new = _loaded(text)
+    with as_parent():
+        assert _loaded(text) == new
