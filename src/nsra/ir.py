@@ -20,15 +20,9 @@ from .errors import Record
 class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
 
 class Lit(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: str | int):
-        self.value = value
 
 
 class Chain(Record):
@@ -37,18 +31,12 @@ class Chain(Record):
 
     __slots__ = ("base", "steps")
 
-    def __init__(self, base: QlExpr, steps: tuple[str, ...]):
-        self.base, self.steps = base, steps
-
     def extended(self, steps: tuple[str, ...]) -> Chain:
         return Chain(self.base, self.steps + steps)
 
 
 class Count(Record):
     __slots__ = ("inner",)
-
-    def __init__(self, inner: QlExpr):
-        self.inner = inner
 
 
 QlExpr = Var | Lit | Chain | Count
@@ -60,50 +48,29 @@ QlExpr = Var | Lit | Chain | Count
 class Eq(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: QlExpr, right: QlExpr):
-        self.left, self.right = left, right
-
 
 class Lt(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: QlExpr, right: QlExpr):
-        self.left, self.right = left, right
 
 
 class And(Record):
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[BoolExpr, ...]):
-        self.items = items
-
 
 class Or(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple[BoolExpr, ...]):
-        self.items = items
 
 
 class Not(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: BoolExpr):
-        self.inner = inner
-
 
 class Decl(Record):
     __slots__ = ("var_name", "ql_type")
 
-    def __init__(self, var_name: str, ql_type: str):
-        self.var_name, self.ql_type = var_name, ql_type
-
 
 class Exists(Record):
     __slots__ = ("decl", "body")
-
-    def __init__(self, decl: Decl, body: BoolExpr):
-        self.decl, self.body = decl, body
 
 
 class TrueExpr(Record):
@@ -121,9 +88,6 @@ BoolExpr = Eq | Lt | And | Or | Not | Exists | TrueExpr
 
 class QueryIR(Record):
     __slots__ = ("decls", "condition", "selects")
-
-    def __init__(self, decls: tuple[Decl, ...], condition: BoolExpr, selects: tuple[str, ...]):
-        self.decls, self.condition, self.selects = decls, condition, selects
 
 
 # --- simplifier --------------------------------------------------------------

@@ -43,9 +43,6 @@ class Token(Record):
 
     __slots__ = ("kind", "text", "start", "end")
 
-    def __init__(self, kind: TokenKind, text: str, start: int, end: int):
-        self.kind, self.text, self.start, self.end = kind, text, start, end
-
     @property
     def span(self) -> Span:
         return Span(self.start, self.end)

@@ -5,8 +5,10 @@ to a convention, so both are spelled out here):
 
 * Controlled-English queries are counted on the normalized token stream.
   Operands are user-defined terminals: identifiers plus string and integer
-  literals (list items included).  Operators are the language's working
-  vocabulary: statement keywords, attribute words, and ordinal adjectives.
+  literals (list items included), and an invocation's class however it is
+  spelled, ``Signature`` as much as ``Cipher``.  Operators are the language's
+  working vocabulary: statement keywords, attribute words, and ordinal
+  adjectives.
   Pure glue carries no weight: ``of``, articles, possessive markers, list
   brackets and commas, and sentence periods are not counted.
 * CodeQL text is counted on its token stream after the import lines;
@@ -75,6 +77,9 @@ def _tally(keys: list[tuple[str, object]]) -> tuple[int, int]:
 # enum member's ``name`` is a property.
 _KIND_NAMES = {kind: kind.name for kind in TokenKind}
 
+# The terms before an invocation's class.
+_OBJECT_OF = [("op", "object"), ("op", "of")]
+
 
 def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[str, object]]:
     """Every token of the normalized query as a ``(class, value)`` term.
@@ -82,15 +87,20 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
     Class ``"op"`` is the closed vocabulary: structure words, ordinals, and
     attribute words (an identifier whose case-folded text names a registry
     rule, the same lookup the parser makes), valued case-folded.  Classes
-    ``"id"``, ``"str"`` and ``"int"`` are user terminals, valued as written.
+    ``"id"``, ``"str"`` and ``"int"`` are user terminals, valued as written,
+    as is the class ``X`` of ``object of X invokes``, whatever word it is.
     Punctuation is classed by its token kind's name.
     """
     rules = (registry or builtin_crypto_profile()).rules
     terms: list[tuple[str, object]] = []
-    for tok in normalize(tokenize(query_text)):
+    tokens = normalize(tokenize(query_text))
+    for i, tok in enumerate(tokens):
         kind, text = tok.kind, tok.text
         if kind is WORD or kind is ORDINAL:
-            terms.append(("op", text.lower()))
+            word = text.lower()
+            if word in ("invokes", "does") and terms[-3:-1] == _OBJECT_OF and tokens[i - 1].kind in (WORD, IDENT):
+                terms[-1] = ("id", tokens[i - 1].text)
+            terms.append(("op", word))
         elif kind is IDENT:
             lowered = text.lower()
             terms.append(("op", lowered) if lowered in rules else ("id", text))
@@ -155,14 +165,6 @@ class ComparisonRow(Record):
     __slots__ = (
         "vocab_nsra", "vocab_ql", "length_nsra", "length_ql", "reduction_pct", "vocab_reduction_pct", "effort_ratio"
     )
-
-    def __init__(
-        self, vocab_nsra: int, vocab_ql: int, length_nsra: int, length_ql: int,
-        reduction_pct: float, vocab_reduction_pct: float, effort_ratio: float,
-    ):
-        self.vocab_nsra, self.vocab_ql, self.length_nsra, self.length_ql = vocab_nsra, vocab_ql, length_nsra, length_ql
-        self.reduction_pct, self.vocab_reduction_pct = reduction_pct, vocab_reduction_pct
-        self.effort_ratio = effort_ratio
 
     def to_dict(self) -> dict[str, float | int]:
         return {

@@ -222,7 +222,9 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
 def _invocation(cur: _Cursor) -> Statement:
     cur.expect_word("object")
     cur.expect_word("of")
-    class_name = cur.expect_kind(IDENT, "class name").text
+    # Any word before the verb names a class, one spelled like a keyword (``Signature``) too.
+    keyword_spelled = cur.at_kind(WORD) and cur.at_word("invokes", "does", offset=1)
+    class_name = cur.expect_kind(WORD if keyword_spelled else IDENT, "class name").text
     if cur.at_word("invokes"):
         cur.take()
         positive = True

@@ -41,9 +41,7 @@ class AttributeRule(Record):
     or None.  ``result_kind`` is "string" or "object"."""
 
     __slots__ = ("steps", "result_kind", "slot")
-
-    def __init__(self, steps: tuple[str, ...], result_kind: str, slot: tuple[int, int] | None = None):
-        self.steps, self.result_kind, self.slot = steps, result_kind, slot
+    _defaults = (None,)
 
     @property
     def has_ordinal_slot(self) -> bool:

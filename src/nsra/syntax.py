@@ -16,24 +16,15 @@ from .lexer import ORDINAL_WORDS
 class Literal(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: str | int):
-        self.value = value
-
 
 class Ident(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 class Prefixed(Record):
     """``ordinal`` is 1-based, present only when the surface text had one."""
 
     __slots__ = ("attribute", "ordinal", "inner")
-
-    def __init__(self, attribute: str, ordinal: int | None, inner: Exp):
-        self.attribute, self.ordinal, self.inner = attribute, ordinal, inner
 
 
 Exp = Literal | Ident | Prefixed
@@ -45,9 +36,6 @@ Exp = Literal | Ident | Prefixed
 class LiteralList(Record):
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[Literal, ...]):
-        self.items = items
-
 
 class TypeAssumption(Record):
     """RHS of ``x is a variable`` style statements; ``noun`` is the English
@@ -55,79 +43,52 @@ class TypeAssumption(Record):
 
     __slots__ = ("noun",)
 
-    def __init__(self, noun: str):
-        self.noun = noun
-
-
-BasicRhs = Exp | LiteralList | TypeAssumption
-
 
 # --- statements -------------------------------------------------------------
 
 
 class Basic(Record):
-    __slots__ = ("lhs", "rhs", "negated")
+    """``lhs is [not] rhs``: ``rhs`` is an ``Exp``, a ``LiteralList`` or a ``TypeAssumption``."""
 
-    def __init__(self, lhs: Exp, rhs: BasicRhs, negated: bool = False):
-        self.lhs, self.rhs, self.negated = lhs, rhs, negated
+    __slots__ = ("lhs", "rhs", "negated")
+    _defaults = (False,)
 
 
 class AndStmt(Record):
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[Statement, ...]):
-        self.items = items
-
 
 class OrStmt(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple[Statement, ...]):
-        self.items = items
 
 
 class NotStmt(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Statement):
-        self.inner = inner
-
 
 class IfStmt(Record):
     __slots__ = ("cond", "then")
-
-    def __init__(self, cond: Statement, then: Statement):
-        self.cond, self.then = cond, then
 
 
 class Necessity(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Statement):
-        self.inner = inner
-
 
 class InvocationPattern(Record):
     __slots__ = ("class_name", "method_name", "positive")
-
-    def __init__(self, class_name: str, method_name: str, positive: bool = True):
-        self.class_name, self.method_name, self.positive = class_name, method_name, positive
+    _defaults = (True,)
 
 
 class OrderingPattern(Record):
     """``direction`` is the surface verb: precedes or follows."""
 
     __slots__ = ("before", "after", "direction")
-
-    def __init__(self, before: str, after: str, direction: str = "precedes"):
-        self.before, self.after, self.direction = before, after, direction
+    _defaults = ("precedes",)
 
 
 class SignaturePattern(Record):
     __slots__ = ("method_name", "type_names", "positive")
-
-    def __init__(self, method_name: str, type_names: tuple[str, ...], positive: bool = True):
-        self.method_name, self.type_names, self.positive = method_name, type_names, positive
+    _defaults = (True,)
 
 
 Statement = (
@@ -137,9 +98,6 @@ Statement = (
 
 class QueryAst(Record):
     __slots__ = ("statements",)
-
-    def __init__(self, statements: tuple[Statement, ...]):
-        self.statements = statements
 
 
 # --- canonical printer -------------------------------------------------------

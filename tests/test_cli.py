@@ -157,6 +157,14 @@ def test_batch_compile_isolates_failures(workdir, capsys):
     assert f"{bad}: error" in captured.err
 
 
+@pytest.mark.parametrize("rule", sorted(p.stem for p in (GOLDEN / "rules").glob("*.nsra")))
+def test_rule_golden(rule, workdir, capsys):
+    query, golden = GOLDEN / "rules" / f"{rule}.nsra", GOLDEN / "rules" / f"{rule}.ql"
+    assert normalize_ql(nsra.compile_text(query.read_text(encoding="utf-8"))) == normalize_ql(golden.read_text())
+    assert run(["check", str(query), "--golden", str(golden)]) == 0
+    assert "matches" in capsys.readouterr().out
+
+
 def test_batch_compile_all_good(workdir):
     paths = []
     for name in ("task1", "task2", "task3"):

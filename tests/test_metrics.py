@@ -35,6 +35,18 @@ def test_attribute_words_count_as_operators():
     assert counts.distinct_operators == 3
 
 
+@pytest.mark.parametrize("name", ["Cipher", "Signature", "Object", "Type"])
+def test_invocation_class_is_an_operand_however_spelled(name):
+    # object, invokes; the class and init
+    assert halstead_nsra(f"An object of {name} invokes init.") == HalsteadCounts(2, 2, 2, 2)
+
+
+def test_keyword_without_a_following_verb_stays_an_operator():
+    # The parser reads no class in either: object, invokes; x, then object, signature; init.
+    assert halstead_nsra("An object of invokes x.") == HalsteadCounts(2, 1, 2, 1)
+    assert halstead_nsra("An object of Signature init.") == HalsteadCounts(2, 1, 2, 1)
+
+
 def test_list_items_are_operands():
     counts = halstead_nsra('arg1 is in ["RSA", "AES"]. arg1 is a variable.')
     assert counts.distinct_operands == 3  # arg1, "RSA", "AES"

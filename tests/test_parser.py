@@ -66,6 +66,29 @@ def test_negative_invocation_spelled_out():
     )
 
 
+@pytest.mark.parametrize("name", ["Signature", "Object", "Class", "Method", "Access", "signature"])
+def test_class_spelled_like_a_keyword(name, registry):
+    assert single(f"An object of {name} invokes m.") == InvocationPattern(name, "m", True)
+    assert single(f"An object of {name} doesn't invoke m.") == InvocationPattern(name, "m", False)
+    ql = render(lower(parse_text(f"An object of {name} invokes m."), registry))
+    assert f'm.getReceiverType().getName() = "{name}"' in ql
+
+
+@pytest.mark.parametrize(
+    "text, message, start",
+    [
+        ("An object of invokes x.", "unexpected 'invokes' (expected class name)", 13),
+        ("An object of Cipher init.", "unexpected 'init' (expected does)", 20),
+        ("An object of Signature init.", "unexpected 'Signature' (expected class name)", 13),
+    ],
+)
+def test_invocation_without_class_or_verb_is_error(text, message, start):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_text(text)
+    assert err.value.message == message
+    assert err.value.span.start == start
+
+
 def test_ordering_precedes():
     assert single("getInstance precedes init.") == OrderingPattern(
         "getInstance", "init", "precedes"
