@@ -126,6 +126,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     registry = _load_registry(args.profile)
     text, ql_text = _read(args.input), _read(args.ql)
+    _apply(parse_text, args.input, text)  # a query that does not parse has no counts
     nsra_counts = _apply(halstead_nsra, args.input, text, registry)
     ql_counts = _apply(halstead_ql, args.ql, ql_text)
     try:

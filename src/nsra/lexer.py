@@ -1,12 +1,12 @@
 """Tokenizer and paraphrase normalizer for the controlled-English query language.
 
 ``tokenize`` segments raw text into tokens whose source ranges, with only
-whitespace between them, cover the input.  It is one regex ``findall`` that
-yields each token's source text, whose first character tells its kind, and
-it builds one small object per token; a ``Span`` is built only for a
-diagnostic.  ``normalize`` then applies the word-level paraphrase rules
-without moving a token: contractions expanded and articles dropped.  The
-parser reads possessives itself.
+whitespace between them, cover the input.  One ``findall`` yields each
+token's source text, ``_classify`` tells each distinct one's kind once, from
+its first character, and one object is built per token; a ``Span`` only for
+a diagnostic.  ``normalize`` then applies the word-level paraphrase rules,
+stated once here for the Halstead count too, without moving a token:
+contractions expanded and articles dropped.  The parser reads possessives.
 """
 
 from __future__ import annotations
@@ -93,15 +93,15 @@ STRUCTURE_WORDS = frozenset(
     | ARTICLES
 )
 
-# The contraction ``normalize`` expands to ``does not``, case-folded.
-_DOESNT = frozenset({"doesn't", "doesn’t"})
+# The contraction ``normalize`` expands, case-folded, and the words it stands for.
+_CONTRACTIONS = dict.fromkeys(("doesn't", "doesn’t"), ("does", "not"))
 
 # An article is dropped as a determiner, unless the next word is one of these
 # statement keywords, the contraction among them: then the article is itself
 # a subject, as the identifier "a" is in "a is b.".
 _ARTICLE_STOPPERS = frozenset(
     {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
-) | _DOESNT
+).union(_CONTRACTIONS)
 
 # Each match is a skip prefix of whitespace, then one token: one alternative
 # per token kind, tried in order, as in the "Writing a Tokenizer" recipe of
@@ -119,7 +119,6 @@ _SCANNER = re.compile(
     r"""\s*(["“”][^"”]*["”]|[\[\],.]|['’][sS](?![A-Za-z0-9_])|\d+"""
     r"""|[A-Za-z0-9_]+(?:['’](?![sS](?![A-Za-z0-9_]))[A-Za-z0-9_]+)?|\S)?"""
 )
-_WORD_KINDS = (WORD, ORDINAL, IDENT)
 
 # The kind of every word that is not an identifier, by its case-folded text.
 _KINDS = {**dict.fromkeys(STRUCTURE_WORDS, WORD), **dict.fromkeys(ORDINALS, ORDINAL)}
@@ -137,6 +136,25 @@ _LEADS = {
 }
 
 
+def _classify(value: str, start: int = 0, text: str = "") -> tuple[TokenKind, str]:
+    """The kind and text (a string's unquoted) of token ``value`` at ``start`` in ``text``; raises its error there."""
+    kind = _LEADS.get(value[0])
+    if kind is IDENT:
+        return WORD if "'" in value or "’" in value else _KINDS.get(value.lower(), IDENT), value
+    if kind is None and value.isdecimal():
+        return INT, value
+    if kind is None or len(value) == 1 and kind in (STRING, POSSESSIVE):  # only `\S` took it
+        if kind is STRING:
+            raise UnterminatedString("unterminated string literal", Span(start, len(text)))
+        raise IllegalCharacter(f"stray {value!r}" if kind else f"illegal character {value!r}", Span(start, start + 1))
+    return kind, value[1:-1] if kind is STRING else value
+
+
+# The kind and text of each case-folded keyword and punctuation mark: where
+# every ``tokenize`` call's table of classified source texts starts.
+_FIXED = {value: _classify(value) for value in [*_KINDS, *".,[]"]}
+
+
 def tokenize(text: str) -> list[Token]:
     """Segment query text into tokens.
 
@@ -144,28 +162,26 @@ def tokenize(text: str) -> list[Token]:
     tokens holding their content verbatim; ``'s`` becomes a POSSESSIVE token;
     the contraction ``doesn't`` stays one WORD token for ``normalize`` to
     expand.  A token starts at the first occurrence of its source text after
-    the previous token, since only whitespace lies between them.
+    the previous token, since only whitespace lies between them; each distinct
+    source text is classified once.
     """
     tokens: list[Token] = []
+    lexed = _FIXED.copy()
     end = 0
     for value in _SCANNER.findall(text):
         if not value:  # only whitespace is left
             break
         start = text.index(value, end)
         end = start + len(value)
-        kind = _LEADS.get(value[0])
-        if kind is IDENT:
-            kind = WORD if "'" in value or "’" in value else _KINDS.get(value.lower(), IDENT)
-        elif kind is None and value.isdecimal():
-            kind = INT
-        elif kind is None or end - start == 1 and kind in (STRING, POSSESSIVE):  # only `\S` took it
-            if kind is STRING:
-                raise UnterminatedString("unterminated string literal", Span(start, len(text)))
-            raise IllegalCharacter(f"stray {value!r}" if kind else f"illegal character {value!r}", Span(start, end))
-        elif kind is STRING:
-            value = value[1:-1]
+        kind, value = lexed.get(value) or lexed.setdefault(value, _classify(value, start, text))
         tokens.append(Token(kind, value, start, end))
     return tokens
+
+
+# Whether an article drops as a determiner before a token of this kind and
+# case-folded text.
+def _article_drops(next_kind: TokenKind | None, next_folded: str) -> bool:
+    return next_kind in (WORD, ORDINAL, IDENT) and next_folded not in _ARTICLE_STOPPERS
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
@@ -181,11 +197,11 @@ def normalize(tokens: list[Token]) -> list[Token]:
     for tok, nxt in zip(tokens, [*tokens[1:], None]):
         if tok.kind is WORD:
             folded = tok.text.lower()
-            if folded in _DOESNT:
-                out += (Token(WORD, "does", tok.start, tok.end), Token(WORD, "not", tok.start, tok.end))
+            if folded in _CONTRACTIONS:
+                out += (Token(WORD, word, tok.start, tok.end) for word in _CONTRACTIONS[folded])
                 continue
             if folded in ARTICLES:
-                if nxt is not None and nxt.kind in _WORD_KINDS and nxt.text.lower() not in _ARTICLE_STOPPERS:
+                if nxt is not None and _article_drops(nxt.kind, nxt.text.lower()):
                     continue
                 tok = Token(IDENT, tok.text, tok.start, tok.end)
         out.append(tok)

@@ -3,14 +3,14 @@
 Counting conventions (fixed; reported numbers are only meaningful relative
 to a convention, so both are spelled out here):
 
-* Controlled-English queries are counted on the normalized token stream.
+* Controlled-English queries are counted on the lexer's scan, with the
+  contraction and article rules of ``normalize`` applied and no token built.
   Operands are user-defined terminals: identifiers plus string and integer
   literals (list items included), and an invocation's class however it is
   spelled, ``Signature`` as much as ``Cipher``.  Operators are the language's
   working vocabulary: statement keywords, attribute words, and ordinal
-  adjectives.
-  Pure glue carries no weight: ``of``, articles, possessive markers, list
-  brackets and commas, and sentence periods are not counted.
+  adjectives.  Pure glue carries no weight: ``of``, articles, possessive
+  markers, list brackets and commas, and sentence periods are not counted.
 * CodeQL text is counted on its token stream after the import lines;
   comments are not tokens.  Operators are the clause keywords, called method
   names, comparison signs, and punctuation; operands are the remaining
@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import Record
-from .lexer import IDENT, INT, ORDINAL, STRING, WORD, TokenKind, normalize, tokenize
+from .errors import Record, SourceError
+from .lexer import ARTICLES, IDENT, INT, ORDINAL, STRING, WORD, TokenKind, tokenize
+from .lexer import _CONTRACTIONS, _SCANNER, _article_drops, _classify
 from .qlgen import QL_KEYWORDS, QlReader
 from .registry import Registry, builtin_crypto_profile
 
@@ -69,16 +70,17 @@ class HalsteadCounts(Record):
         return self.difficulty * self.volume
 
 
-def _tally(keys: list[tuple[str, object]]) -> tuple[int, int]:
-    return len(set(keys)), len(keys)
-
-
-# Each punctuation kind's name, the class of its terms: a table, since an
-# enum member's ``name`` is a property.
-_KIND_NAMES = {kind: kind.name for kind in TokenKind}
+# The class of the terms a kind of token gives when it is no operator; a
+# punctuation kind's is its name.  A table, since an enum member's ``name`` is
+# a property.
+_TERM_CLASSES = {**{kind: kind.name for kind in TokenKind}, IDENT: "id", STRING: "str", INT: "int"}
 
 # The terms before an invocation's class.
 _OBJECT_OF = [("op", "object"), ("op", "of")]
+
+# The words whose terms depend on their neighbours: the articles, and the
+# verbs after an invocation's class, the contraction among them.
+_CONTEXTUAL = ARTICLES | {"invokes", "does", *_CONTRACTIONS}
 
 
 def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[str, object]]:
@@ -89,27 +91,37 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
     rule, the same lookup the parser makes), valued case-folded.  Classes
     ``"id"``, ``"str"`` and ``"int"`` are user terminals, valued as written,
     as is the class ``X`` of ``object of X invokes``, whatever word it is.
-    Punctuation is classed by its token kind's name.
+    Punctuation is classed by its token kind's name.  Each distinct source
+    text is classified once, and no token is built but to locate an error.
     """
     rules = (registry or builtin_crypto_profile()).rules
+    values = _SCANNER.findall(query_text.rstrip())[:-1]  # the last match is the empty one at the end
+    classes = {}  # each distinct source text's kind, case-folded text and term on its own
+    try:
+        for value in set(values):
+            kind, text = _classify(value)
+            folded = text.lower()
+            if kind is WORD and folded in _CONTEXTUAL:
+                classes[value] = kind, folded, None
+            elif kind is WORD or kind is ORDINAL or kind is IDENT and folded in rules:
+                classes[value] = kind, folded, ("op", folded)
+            else:
+                classes[value] = kind, folded, (_TERM_CLASSES[kind], int(text) if kind is INT else text)
+    except (SourceError, ValueError):
+        for tok in tokenize(query_text):  # raises where the text does not lex
+            if tok.kind is INT:
+                tok.int_value()  # raises at the first integer too long for ``int``
     terms: list[tuple[str, object]] = []
-    tokens = normalize(tokenize(query_text))
-    for i, tok in enumerate(tokens):
-        kind, text = tok.kind, tok.text
-        if kind is WORD or kind is ORDINAL:
-            word = text.lower()
-            if word in ("invokes", "does") and terms[-3:-1] == _OBJECT_OF and tokens[i - 1].kind in (WORD, IDENT):
-                terms[-1] = ("id", tokens[i - 1].text)
-            terms.append(("op", word))
-        elif kind is IDENT:
-            lowered = text.lower()
-            terms.append(("op", lowered) if lowered in rules else ("id", text))
-        elif kind is STRING:
-            terms.append(("str", text))
-        elif kind is INT:
-            terms.append(("int", tok.int_value()))
-        else:
-            terms.append((_KIND_NAMES[kind], text))
+    for i, value in enumerate(values):
+        kind, folded, term = classes[value]
+        if term is not None:
+            terms.append(term)
+        elif folded not in ARTICLES:  # ``invokes``, ``does`` or the contraction: X of ``object of X`` is a class
+            if terms[-3:-1] == _OBJECT_OF and classes[values[i - 1]][0] in (WORD, IDENT):
+                terms[-1] = ("id", values[i - 1])
+            terms += [("op", word) for word in _CONTRACTIONS.get(folded, (folded,))]
+        elif i + 1 == len(values) or not _article_drops(*classes[values[i + 1]][:2]):  # an article kept as a name
+            terms.append(("op", folded) if folded in rules else ("id", value))
     return terms
 
 
@@ -128,9 +140,7 @@ def halstead_nsra(query_text: str, registry: Registry | None = None) -> Halstead
     terms = nsra_terms(query_text, registry)
     operators = [term for term in terms if term[0] == "op" and term[1] not in _UNCOUNTED_WORDS]
     operands = [term for term in terms if term[0] in _OPERAND_CLASSES]
-    n1, big_n1 = _tally(operators)
-    n2, big_n2 = _tally(operands)
-    return HalsteadCounts(n1, n2, big_n1, big_n2)
+    return HalsteadCounts(len(set(operators)), len(set(operands)), len(operators), len(operands))
 
 
 def halstead_ql(ql_text: str) -> HalsteadCounts:

@@ -10,6 +10,10 @@ becomes ``[ordinal] attr of X`` (the possessor being the word before the
 articles drop as determiners.  ``normalize`` keeps the first and last
 passes; the parser now does the middle one.  Tokens here are ``(kind,
 text, span)`` triples.
+
+``oracle_terms`` is the Halstead term loop ``nsra_terms`` replaced: it
+classifies each token of the normalized stream in turn, and reads an
+integer's value from its token.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import re
 
 from nsra.errors import IllegalCharacter, Span, UnterminatedString
-from nsra.lexer import ARTICLES, ORDINALS, STRUCTURE_WORDS, Token, TokenKind
+from nsra.lexer import ARTICLES, ORDINALS, STRUCTURE_WORDS, Token, TokenKind, normalize, tokenize
+from nsra.registry import builtin_crypto_profile
 
 _ORACLE_SCANNER = re.compile(
     r"""
@@ -111,3 +116,30 @@ def oracle_normalize(tokens):
 def reference_tokens(text: str) -> list[Token]:
     """The tokens the parser read before it read possessives itself."""
     return [Token(kind, value, span.start, span.end) for kind, value, span in oracle_normalize(oracle_tokenize(text))]
+
+
+_OBJECT_OF = [("op", "object"), ("op", "of")]
+
+
+def oracle_terms(text, registry=None, front_end=lambda text: normalize(tokenize(text))):
+    """The ``(class, value)`` terms of each token ``front_end`` gives for ``text``."""
+    rules = (registry or builtin_crypto_profile()).rules
+    terms = []
+    tokens = front_end(text)
+    for i, tok in enumerate(tokens):
+        kind, value = tok.kind, tok.text
+        if kind in (TokenKind.WORD, TokenKind.ORDINAL):
+            word = value.lower()
+            if word in ("invokes", "does") and terms[-3:-1] == _OBJECT_OF and tokens[i - 1].kind in _NAMES:
+                terms[-1] = ("id", tokens[i - 1].text)
+            terms.append(("op", word))
+        elif kind is TokenKind.IDENT:
+            lowered = value.lower()
+            terms.append(("op", lowered) if lowered in rules else ("id", value))
+        elif kind is TokenKind.STRING:
+            terms.append(("str", value))
+        elif kind is TokenKind.INT:
+            terms.append(("int", tok.int_value()))
+        else:
+            terms.append((kind.name, value))
+    return terms

@@ -124,6 +124,12 @@ def test_metrics_diagnostic_points_into_the_query(workdir, capsys):
     assert "unterminated" in err
 
 
+def test_metrics_rejects_a_query_that_does_not_parse(workdir, capsys):
+    bad = write(workdir / "bad.nsra", "An object of Cipher invokes init.\nthe the the.\n")
+    assert run(["metrics", bad, "--ql", str(GOLDEN / "example_invoke.ql")]) == 1
+    assert capsys.readouterr() == ("", f"{bad}:2:12: error: unexpected '.' (expected is)\n")
+
+
 def test_metrics_diagnostic_points_into_the_ql_file(workdir, capsys):
     src = str(GOLDEN / "example_invoke.nsra")
     bad = write(workdir / "bad.ql", 'from MethodAccess init\nwhere init.getName() = "x\n')

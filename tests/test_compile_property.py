@@ -22,7 +22,7 @@ from nsra.parser import parse_query, parse_text
 from nsra.qlgen import dump_ir, read_query_text, render
 from nsra.registry import builtin_crypto_profile
 from conftest import golden_text
-from front_end_oracle import reference_tokens
+from front_end_oracle import oracle_terms, reference_tokens
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  the benchmark's seeded query generator
@@ -92,9 +92,8 @@ def test_compile_text_returns_ql_that_reads_back_or_raises_a_source_error(text):
 
 def _reference_halstead(text, registry):
     """``halstead_nsra`` as it counted the rewritten token stream."""
-    with mock.patch.object(nsra.metrics, "tokenize", reference_tokens), mock.patch.object(
-        nsra.metrics, "normalize", lambda tokens: tokens
-    ):
+    terms = oracle_terms(text, registry, reference_tokens)
+    with mock.patch.object(nsra.metrics, "nsra_terms", lambda *_: terms):
         return halstead_nsra(text, registry)
 
 

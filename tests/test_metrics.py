@@ -1,18 +1,30 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsra import compile_text
+from nsra.errors import SourceError
 from nsra.metrics import (
     HalsteadCounts,
     compare,
     format_row,
     halstead_nsra,
     halstead_ql,
+    nsra_terms,
 )
-from conftest import QL_PREAMBLES, golden_text
+from nsra.registry import load_profile
+from conftest import GOLDEN, QL_PREAMBLES, golden_text
+from front_end_oracle import oracle_terms
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded query generator
 
 
 def test_minimal_statement_operands():
@@ -229,3 +241,55 @@ def test_counts_compare_by_fields():
     counts = HalsteadCounts(distinct_operators=2, distinct_operands=1, total_operators=3, total_operands=1)
     assert counts == HalsteadCounts(2, 1, 3, 1) and hash(counts) == hash(HalsteadCounts(2, 1, 3, 1))
     assert counts != HalsteadCounts(1, 2, 3, 1)
+
+
+# --- the count pass against the token loop ------------------------------------
+
+LONG_INT = "1" * 5000  # past the 4300 digits ``int`` reads from text
+
+# Pieces that join, with nothing or with whitespace between them, into
+# invocations of keyword-spelled and attribute-spelled classes, contractions,
+# capitalised articles before keywords and names, possessives, strings in both
+# kinds of quotes (and unterminated ones), non-ASCII and over-long integers.
+_TERM_PIECES = st.sampled_from(
+    ["An", "A", "The", "a", "the", "object", "of", "Cipher", "Signature", "Type", "invokes", "invoke", "does"]
+    + ["not", "is", "in", "and", "first", "algorithm", "Name", "init", "x", "doesn't", "doesn’t", "DOESN'T", "'s"]
+    + ["42", "٣٣", LONG_INT, '"RSA"', "“AES”", '"open', "“open", "'", "²", "[", "]", ",", ".", " ", "\u00a0", "\n", ""]
+)
+
+
+_REGISTRIES = (None, load_profile(gen.PROFILE_TEXT))  # the built-in profile, and the benchmark's
+
+
+def _terms_or_error(count, text, registry):
+    try:
+        return count(text, registry)
+    except SourceError as err:
+        return type(err), err.span
+
+
+@given(st.lists(_TERM_PIECES, max_size=24).map("".join))
+@example("An object of Signature doesn’t invoke initSign. The the is not a.")
+@example(f"An object of Type invokes init. The first argument of init is {LONG_INT}. x is \"open")
+@example(f"x is ٣٣ and y is {LONG_INT} and z is {LONG_INT}2.")
+@example("An object of first invokes init. An object of the does not invoke x. object of 42 invokes m.")
+@settings(max_examples=400, deadline=None)
+def test_count_pass_matches_the_token_loop(text):
+    """``nsra_terms`` gives the terms of the normalized token stream, or the
+    same error at the same span, with the built-in and the benchmark profile."""
+    for registry in _REGISTRIES:
+        assert _terms_or_error(nsra_terms, text, registry) == _terms_or_error(oracle_terms, text, registry)
+
+
+def test_readme_halstead_table_matches_the_counts():
+    """README's table gives (vocabulary, length) of each task and rule, and
+    of the CodeQL the compiler writes for it."""
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(tests/golden/[\w/]+\.nsra)` \| (\d+), (\d+) \| (\d+), (\d+) \|$", readme, re.M)
+    queries = [f"tests/golden/task{n}.nsra" for n in (1, 2, 3)]
+    queries += sorted(f"tests/golden/rules/{path.name}" for path in (GOLDEN / "rules").glob("*.nsra"))
+    assert [row[0] for row in rows] == queries
+    for path, *cells in rows:
+        text = (GOLDEN.parents[1] / path).read_text(encoding="utf-8")
+        nsra, ql = halstead_nsra(text), halstead_ql(compile_text(text))
+        assert [int(cell) for cell in cells] == [nsra.vocabulary, nsra.length, ql.vocabulary, ql.length], path
