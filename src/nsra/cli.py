@@ -88,8 +88,12 @@ def _load_registry(profile_path: str | None) -> Registry:
     return _apply(load_profile, path, _read(path))
 
 
+def _lowered(text: str, registry: Registry):  # the query's IR; compile and metrics both run it
+    return lower(parse_text(text), registry)
+
+
 def _compile_file(path: str, text: str, registry: Registry, emit: str, header: str | None) -> str:
-    ir = _apply(lambda query: lower(parse_text(query), registry), path, text)
+    ir = _apply(_lowered, path, text, registry)
     if emit == "ir":
         return dump_ir(ir)
     out = render(ir)
@@ -126,7 +130,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     registry = _load_registry(args.profile)
     text, ql_text = _read(args.input), _read(args.ql)
-    _apply(parse_text, args.input, text)  # a query that does not parse has no counts
+    _apply(_lowered, args.input, text, registry)  # a query that does not compile has no counts
     nsra_counts = _apply(halstead_nsra, args.input, text, registry)
     ql_counts = _apply(halstead_ql, args.ql, ql_text)
     try:

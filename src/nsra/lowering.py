@@ -63,17 +63,24 @@ def resolve_exp(
 
     The innermost identifier, which must be in ``declared``, becomes a
     variable reference, each prefix layer appends its rule's calls (ordinals
-    fill the slot zero-based), and an object-valued result gains a trailing
-    ``toString()`` when it is about to be compared with a string.
+    fill the slot zero-based), and an object-valued result, a declared name
+    too, gains a trailing ``toString()`` when it is about to be compared with
+    a string.
     """
     resolved = _resolve_inner(e, reg, declared)
     if comparison_is_string and _result_kind(e, reg) == "object":
-        return resolved.extended(("toString()",))  # a Prefixed resolves to a Chain
+        return _extended(resolved, ("toString()",))
     return resolved
 
 
+def _extended(value: QlExpr, steps: tuple[str, ...]) -> Chain:  # a variable starts a chain
+    return value.extended(steps) if isinstance(value, Chain) else Chain(value, steps)
+
+
 def _result_kind(e: ast.Exp, reg: Registry) -> str | None:
-    # The kind of the outermost rule; an identifier or a literal has none.
+    # A declared name is an object, an attribute phrase of its outermost rule's kind; a literal has none.
+    if isinstance(e, ast.Ident):
+        return "object"
     return lookup_attribute(e.attribute, reg).result_kind if isinstance(e, ast.Prefixed) else None
 
 
@@ -91,10 +98,7 @@ def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> QlExp
         raise MissingOrdinal(e.attribute)
     ordinal_index = None if e.ordinal is None else e.ordinal - 1
     steps = rule.render_steps(ordinal_index)
-    inner = _resolve_inner(e.inner, reg, declared)
-    if isinstance(inner, Chain):
-        return inner.extended(steps)
-    return Chain(inner, steps)
+    return _extended(_resolve_inner(e.inner, reg, declared), steps)
 
 
 def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:

@@ -57,31 +57,30 @@ QL_RESERVED_WORDS = frozenset(
 
 
 class _Cursor:
-    """A position in a normalized token stream.  ``words`` folds each word once per parse: the
-    lowered text of each WORD or IDENT token, ``""`` for any other token, then ``""`` sentinels
-    for the four tokens a probe may look past the end.  A word probe is then one list index."""
+    """A position in a normalized token stream and four end tokens after it (kind ``None``, text ``""``, the
+    empty span at the last token's end), as many as a probe may look past the end.  ``words`` folds each word
+    once per parse: the lowered text of a WORD or IDENT token, ``""`` for any other.  A word probe is one index."""
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.words = [t.text.lower() if t.kind in (WORD, IDENT) else "" for t in tokens] + [""] * 4
+        end = tokens[-1].end if tokens else 0
+        self.tokens = [*tokens, *[Token(None, "", end, end)] * 4]
+        self.words = [t.text.lower() if t.kind in (WORD, IDENT) else "" for t in self.tokens]
         self.pos = 0
         self.depth = 0  # nested phrases open at ``pos``
 
-    def peek(self, offset: int = 0) -> Token | None:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self, offset: int = 0) -> Token:
+        return self.tokens[self.pos + offset]
 
-    def word(self, offset: int = 0) -> str:  # "" for a token that is no word, and past the end
+    def word(self, offset: int = 0) -> str:  # "" for a token that is no word
         return self.words[self.pos + offset]
 
     def at_word(self, *words: str, offset: int = 0) -> bool:
         return self.words[self.pos + offset] in words
 
     def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok is not None and tok.kind is kind
+        return self.tokens[self.pos + offset].kind is kind
 
-    def take(self) -> Token:  # every caller has seen that there is a next token
+    def take(self) -> Token:  # every caller has seen that the next token is no end token
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -97,22 +96,14 @@ class _Cursor:
         return self.take()
 
     def expect_kind(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not kind:
+        if not self.at_kind(kind):
             raise self.error(what)
         return self.take()
 
     def error(self, *expected: str) -> QuerySyntaxError:
         tok = self.peek()
-        if tok is None:
-            return QuerySyntaxError("unexpected end of query", self._end_span(), expected)
-        return QuerySyntaxError(f"unexpected {tok.text!r}", tok.span, expected)
-
-    def _end_span(self) -> Span:
-        if self.tokens:
-            end = self.tokens[-1].end
-            return Span(end, end)
-        return Span(0, 0)
+        found = "end of query" if tok.kind is None else repr(tok.text)
+        return QuerySyntaxError(f"unexpected {found}", tok.span, expected)
 
 
 def parse_text(text: str) -> QueryAst:
@@ -128,7 +119,7 @@ def parse_query(tokens: list[Token]) -> QueryAst:
     """
     cur = _Cursor(tokens)
     statements: list[Statement] = []
-    while cur.peek() is not None:
+    while cur.peek().kind is not None:
         statements.append(_sentence(cur))
     if not statements:
         raise QuerySyntaxError("empty query", Span(0, 0))
@@ -179,11 +170,7 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
     never nests.
     """
     if _at_phrase(cur, "it", "is", "necessary", "that"):
-        tok = cur.peek()
-        assert tok is not None
-        raise QuerySyntaxError(
-            "a necessity statement must stand on its own sentence", tok.span
-        )
+        raise QuerySyntaxError("a necessity statement must stand on its own sentence", cur.peek().span)
     if _at_phrase(cur, "it", "is", "false", "that"):
         cur.descend()
         for _ in range(4):
@@ -269,7 +256,7 @@ def _signature_rest(cur: _Cursor, method: str) -> Statement:
     return SignaturePattern(method, tuple(i.value for i in items), positive)
 
 
-def _type_name(cur: _Cursor) -> Literal:
+def _type_name(cur: _Cursor, like: Literal | None = None) -> Literal:  # ``like`` goes unused: every type name is a string
     tok = cur.peek()
     lit = _literal(cur)
     if not isinstance(lit.value, str):
@@ -291,7 +278,7 @@ def _basic(cur: _Cursor) -> Statement:
         if negation is not None:
             raise QuerySyntaxError("type assumptions cannot be negated", negation.span)
         return Basic(_require_non_literal(lhs, first), TypeAssumption(noun))
-    rhs = _exp(cur)
+    rhs = _exp(cur, lhs)
     # Symmetric equality: "RSA" is the algorithm of .. stores the expression
     # on the left and the literal on the right.
     if isinstance(lhs, Literal) and not isinstance(rhs, Literal):
@@ -314,9 +301,8 @@ def _of_subject(cur: _Cursor) -> Exp:  # what an attribute is of: a literal has 
 def _type_noun(cur: _Cursor) -> str | None:
     for words, noun in _TYPE_NOUNS.items():
         if _at_phrase(cur, *words):
-            after = cur.peek(len(words))
             # "method access" must not swallow an attribute use of "method".
-            if after is None or after.kind in (PERIOD, COMMA) or cur.at_word(
+            if cur.peek(len(words)).kind in (None, PERIOD, COMMA) or cur.at_word(
                 "and", "or", "then", offset=len(words)
             ):
                 for _ in words:
@@ -325,40 +311,39 @@ def _type_noun(cur: _Cursor) -> str | None:
     return None
 
 
-def _literal(cur: _Cursor) -> Literal:
+def _literal(cur: _Cursor, like: Exp | None = None) -> Literal:
+    """A string or integer literal; an error at it if ``like``, what it is
+    compared with, is a literal of the other kind."""
     tok = cur.peek()
-    if tok is None:
-        raise cur.error("a literal")
     if tok.kind is not STRING and tok.kind is not INT:
-        raise cur.error("a string or integer literal")
+        raise cur.error("a literal" if tok.kind is None else "a string or integer literal")
     lit = Literal(tok.text if tok.kind is STRING else tok.int_value())
     cur.take()
     if cur.at_kind(POSSESSIVE):  # a literal has no attributes
         raise IllegalCharacter(_NO_POSSESSOR, cur.peek().span)
+    if isinstance(like, Literal) and isinstance(like.value, str) is not isinstance(lit.value, str):
+        raise QuerySyntaxError("a string cannot be compared with an integer", tok.span)
     return lit
 
 
-def _literal_list(cur: _Cursor, item: Callable[[_Cursor], Literal] = _literal) -> tuple[Literal, ...]:
+def _literal_list(cur: _Cursor, item: Callable[..., Literal] = _literal) -> tuple[Literal, ...]:
+    """``[item, ...]``: each item after the first is read ``like`` the first."""
     open_tok = cur.expect_kind(LIST_OPEN, "'['")
-    items: list[Literal] = []
     if cur.at_kind(LIST_CLOSE):
         close = cur.take()
         raise EmptyList("empty list", Span(open_tok.start, close.end))
-    while True:
-        items.append(item(cur))
-        if cur.at_kind(COMMA):
-            cur.take()
-            continue
-        cur.expect_kind(LIST_CLOSE, "']'")
-        return tuple(items)
+    items = [item(cur)]
+    while cur.at_kind(COMMA):
+        cur.take()
+        items.append(item(cur, items[0]))
+    cur.expect_kind(LIST_CLOSE, "']'")
+    return tuple(items)
 
 
-def _exp(cur: _Cursor) -> Exp:
+def _exp(cur: _Cursor, like: Exp | None = None) -> Exp:  # ``like`` as for ``_literal``
     tok = cur.peek()
-    if tok is None:
-        raise cur.error("an expression")
     if tok.kind in (STRING, INT):
-        return _literal(cur)
+        return _literal(cur, like)
     if tok.kind is ORDINAL:
         cur.descend()
         cur.take()

@@ -130,6 +130,17 @@ def test_metrics_rejects_a_query_that_does_not_parse(workdir, capsys):
     assert capsys.readouterr() == ("", f"{bad}:2:12: error: unexpected '.' (expected is)\n")
 
 
+def test_metrics_rejects_a_query_that_does_not_compile(workdir, capsys):
+    """``metrics`` lowers the query as ``compile`` does, and fails with its diagnostic."""
+    bad = write(workdir / "bad.nsra", 'An object of Cipher invokes init. The x of init is "AES".')
+    ref = str(GOLDEN / "example_invoke.ql")
+    assert run(["compile", bad]) == 1
+    compiled = capsys.readouterr()
+    assert compiled.err.startswith(f"{bad}:1:1: error: unknown attribute 'x'; ")
+    assert run(["metrics", bad, "--ql", ref]) == 1
+    assert capsys.readouterr() == compiled
+
+
 def test_metrics_diagnostic_points_into_the_ql_file(workdir, capsys):
     src = str(GOLDEN / "example_invoke.nsra")
     bad = write(workdir / "bad.ql", 'from MethodAccess init\nwhere init.getName() = "x\n')
@@ -339,6 +350,10 @@ def test_compile_warns_about_a_type_without_alias(workdir):
     proc = fresh_python("-m", "nsra.cli", "compile", query)
     assert proc.returncode == 0, proc.stderr
     assert 'getType().toString() = "SecretKeySpec"' in proc.stdout
+    assert "no qualified-name alias for type 'SecretKeySpec'; using it as written" in proc.stderr
+    # metrics lowers the query too, so it warns as compile does.
+    proc = fresh_python("-m", "nsra.cli", "metrics", query, "--ql", str(GOLDEN / "example_invoke.ql"))
+    assert proc.returncode == 0, proc.stderr
     assert "no qualified-name alias for type 'SecretKeySpec'; using it as written" in proc.stderr
 
 

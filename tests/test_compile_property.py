@@ -19,10 +19,12 @@ from nsra import SourceError, compile_text, halstead_nsra
 from nsra.lexer import ARTICLES, ORDINAL, ORDINALS, POSSESSIVE, normalize, tokenize
 from nsra.lowering import lower
 from nsra.parser import parse_query, parse_text
+from nsra.ir import Chain, Eq, Lit
 from nsra.qlgen import dump_ir, read_query_text, render
-from nsra.registry import builtin_crypto_profile
+from nsra.registry import _STRING_RESULTS, builtin_crypto_profile
 from conftest import golden_text
 from front_end_oracle import oracle_terms, reference_tokens
+from truth_table import atoms
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  the benchmark's seeded query generator
@@ -74,9 +76,12 @@ def _mutated_query(draw) -> str:
 @example("An object of Cipher invokes init. init's first argument is 99999999999999999999.")
 @example("x is a variable. It is false that x is a variable.")
 @example("1 is 1.")
+@example('1 is "a".')
+@example('An object of Cipher invokes init. init is "x".')
 @settings(max_examples=400, deadline=None)
 def test_compile_text_returns_ql_that_reads_back_or_raises_a_source_error(text):
-    """A parse error also has a span inside the text."""
+    """A parse error also has a span inside the text, and a string literal
+    is compared only with a string: a literal or a call that returns one."""
     registry = builtin_crypto_profile()
     try:
         ast = parse_text(text)
@@ -87,7 +92,18 @@ def test_compile_text_returns_ql_that_reads_back_or_raises_a_source_error(text):
         out = compile_text(text, registry)
     except SourceError:
         return
-    assert read_query_text(out) == lower(ast, registry)
+    ir = lower(ast, registry)
+    assert read_query_text(out) == ir
+    for eq in (atom for atom in atoms(ir.condition) if isinstance(atom, Eq)):
+        sides = (eq.left, eq.right)
+        if any(isinstance(side, Lit) and isinstance(side.value, str) for side in sides):
+            assert all(map(_is_string, sides)), eq
+
+
+def _is_string(value) -> bool:
+    if isinstance(value, Lit):
+        return isinstance(value.value, str)
+    return isinstance(value, Chain) and value.steps[-1].partition("(")[0] in _STRING_RESULTS
 
 
 def _reference_halstead(text, registry):

@@ -161,8 +161,9 @@ def test_apply_necessity_three_truth_table():
 
 
 def test_expression_equality_compares_strings_when_either_side_is_one(registry):
-    """An object side gains ``toString()`` against a string-valued side, as
-    it does against a string literal; two object sides compare as objects."""
+    """An object side, a declared name too, gains ``toString()`` against a
+    string-valued side, as it does against a string literal; two object
+    sides compare as objects."""
     invoked = "An object of Cipher invokes init. An object of Cipher invokes getInstance. "
     init_arg = Chain(Var("init"), ("getArgument(0)",))
     algorithm = Chain(
@@ -177,6 +178,13 @@ def test_expression_equality_compares_strings_when_either_side_is_one(registry):
     assert ir.condition.items[-1] == Eq(init_arg, Chain(Var("getInstance"), ("getArgument(0)",)))
     ir = lower_text(invoked + "The name of init is the name of getInstance.", registry)
     assert ir.condition.items[-1] == Eq(Chain(Var("init"), ("getName()",)), Chain(Var("getInstance"), ("getName()",)))
+    init_name = Chain(Var("init"), ("toString()",))
+    ir = lower_text(invoked + 'init is "x".', registry)
+    assert ir.condition.items[-1] == Eq(init_name, Lit("x"))
+    ir = lower_text(invoked + "init is the name of getInstance.", registry)
+    assert ir.condition.items[-1] == Eq(init_name, Chain(Var("getInstance"), ("getName()",)))
+    ir = lower_text(invoked + "init is getInstance.", registry)
+    assert ir.condition.items[-1] == Eq(Var("init"), Var("getInstance"))
 
 
 # --- full lowering -----------------------------------------------------------

@@ -482,6 +482,19 @@ def test_empty_signature_and_empty_query_rejected():
         ("x is .", "unexpected '.' (expected an expression)", 5),
         ('the first "x" of init is "a".', "unexpected 'x' (expected attribute word)", 10),
         ("the first", "unexpected end of query (expected attribute word)", 9),
+        # The end of the query, after each construct that can reach it.
+        ("x is 1", "unexpected end of query (expected '.')", 6),
+        ("An object", "unexpected end of query (expected of)", 9),
+        ("An object of", "unexpected end of query (expected class name)", 12),
+        ("if x is 1", "unexpected end of query (expected then)", 9),
+        ("x is a variable", "unexpected end of query (expected '.')", 15),
+        ("It is necessary that", "unexpected end of query (expected an expression)", 20),
+        ("x is  ", "unexpected end of query (expected an expression)", 4),  # the last token's end
+        # A string literal and an integer literal cannot be compared, in either order or in a list.
+        ('1 is "a".', "a string cannot be compared with an integer", 5),
+        ('"a" is 1.', "a string cannot be compared with an integer", 7),
+        ('x is in [1, "a"].', "a string cannot be compared with an integer", 12),
+        ('x is not in ["a", "b", 2].', "a string cannot be compared with an integer", 23),
     ],
 )
 def test_syntax_error_branches(text, message, at):
