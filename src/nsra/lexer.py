@@ -61,6 +61,10 @@ ORDINALS = {word: n for n, word in enumerate(ORDINAL_WORDS, 1)}
 
 ARTICLES = frozenset({"a", "an", "the"})
 
+# The type nouns of ``x is a variable``, each by its words: the phrases the
+# parser reads after ``is``, and the keys of a profile's ``[types]``.
+TYPE_NOUNS = {("variable",): "variable", ("class",): "class", ("method", "access"): "method access"}
+
 # Closed vocabulary of structural words.  Anything alphabetic outside this set
 # (and the ordinals) lexes as an identifier; attribute words such as
 # "algorithm" are identifiers whose attribute role is positional.
@@ -85,13 +89,8 @@ STRUCTURE_WORDS = frozenset(
         "precedes",
         "follows",
         "signature",
-        "variable",
-        "class",
-        "method",
-        "access",
     }
-    | ARTICLES
-)
+).union(ARTICLES, *TYPE_NOUNS)
 
 # The contraction ``normalize`` expands, case-folded, and the words it stands for.
 _CONTRACTIONS = dict.fromkeys(("doesn't", "doesn’t"), ("does", "not"))
@@ -134,6 +133,18 @@ _LEADS = {
     **dict.fromkeys("'’", POSSESSIVE),
     "[": LIST_OPEN, "]": LIST_CLOSE, ",": COMMA, ".": PERIOD,
 }
+
+# The words the parser reads in another role where ``the word of x`` or
+# ``x's word`` puts an attribute word: an article, a statement keyword that
+# stops an article, an ordinal, or the start of a pattern or an ``if``.
+_NOT_ATTRIBUTES = ARTICLES.union(_ARTICLE_STOPPERS, ORDINALS, ("object", "signature", "if"))
+
+
+def _is_attribute_word(word: str) -> bool:
+    """True when the parser reads ``word`` as an attribute word in both
+    phrasings, ``the word of x`` and ``x's word``: one scanner word that starts
+    with a letter or ``_`` and that has no other role there."""
+    return _SCANNER.findall(word) == [word, ""] and _LEADS.get(word[0]) is IDENT and word.lower() not in _NOT_ATTRIBUTES
 
 
 def _classify(value: str, start: int = 0, text: str = "") -> tuple[TokenKind, str]:

@@ -32,7 +32,6 @@ from .ir import (
     QueryIR,
     TRUE,
     TRUE_OPERAND,
-    TrueExpr,
     Var,
     conjoin,
     disjoin,
@@ -56,49 +55,36 @@ def expand_membership(lhs: QlExpr, items: list[Lit]) -> BoolExpr:
     return disjoin([Eq(lhs, item) for item in items])
 
 
-def resolve_exp(
-    e: ast.Exp, reg: Registry, declared: frozenset[str], comparison_is_string: bool = False
-) -> QlExpr:
-    """Resolve an expression to a value chain.
+def _resolve(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> tuple[QlExpr, str]:
+    """An expression's value chain and its kind, looking each attribute phrase up once.
 
-    The innermost identifier, which must be in ``declared``, becomes a
-    variable reference, each prefix layer appends its rule's calls (ordinals
-    fill the slot zero-based), and an object-valued result, a declared name
-    too, gains a trailing ``toString()`` when it is about to be compared with
-    a string.
+    A literal is of kind "string" or "int", and a declared name, which must be
+    in ``declared``, is a variable reference of kind "object".  Each prefix
+    layer appends its rule's calls to its inner value (ordinals fill the slot
+    zero-based), and is of its rule's ``result_kind``.
     """
-    resolved = _resolve_inner(e, reg, declared)
-    if comparison_is_string and _result_kind(e, reg) == "object":
-        return _extended(resolved, ("toString()",))
-    return resolved
+    if isinstance(e, ast.Prefixed):
+        rule = lookup_attribute(e.attribute, reg)
+        if e.ordinal is not None and not rule.has_ordinal_slot:
+            raise OrdinalNotAllowed(e.attribute)
+        if e.ordinal is None and rule.has_ordinal_slot:
+            raise MissingOrdinal(e.attribute)
+        ordinal_index = None if e.ordinal is None else e.ordinal - 1
+        steps = rule.render_steps(ordinal_index)
+        return _extended(_resolve(e.inner, reg, declared)[0], steps), rule.result_kind
+    if isinstance(e, ast.Ident):
+        return _var(e.name, declared), "object"
+    return Lit(e.value), "string" if isinstance(e.value, str) else "int"
+
+
+def _var(name: str, declared: frozenset[str]) -> Var:
+    if name not in declared:
+        raise UndeclaredSubject(name)
+    return Var(name)
 
 
 def _extended(value: QlExpr, steps: tuple[str, ...]) -> Chain:  # a variable starts a chain
     return value.extended(steps) if isinstance(value, Chain) else Chain(value, steps)
-
-
-def _result_kind(e: ast.Exp, reg: Registry) -> str | None:
-    # A declared name is an object, an attribute phrase of its outermost rule's kind; a literal has none.
-    if isinstance(e, ast.Ident):
-        return "object"
-    return lookup_attribute(e.attribute, reg).result_kind if isinstance(e, ast.Prefixed) else None
-
-
-def _resolve_inner(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> QlExpr:
-    if isinstance(e, ast.Literal):
-        return Lit(e.value)
-    if isinstance(e, ast.Ident):
-        if e.name not in declared:
-            raise UndeclaredSubject(e.name)
-        return Var(e.name)
-    rule = lookup_attribute(e.attribute, reg)
-    if e.ordinal is not None and not rule.has_ordinal_slot:
-        raise OrdinalNotAllowed(e.attribute)
-    if e.ordinal is None and rule.has_ordinal_slot:
-        raise MissingOrdinal(e.attribute)
-    ordinal_index = None if e.ordinal is None else e.ordinal - 1
-    steps = rule.render_steps(ordinal_index)
-    return _extended(_resolve_inner(e.inner, reg, declared), steps)
 
 
 def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:
@@ -111,10 +97,8 @@ def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:
     for stmt in query.statements:
         if isinstance(stmt, ast.Necessity):
             necessity.append(_lower_statement(stmt.inner, reg, declared))
-        else:
-            cond = _lower_statement(stmt, reg, declared)
-            if not isinstance(cond, TrueExpr):
-                plain.append(cond)
+        else:  # ``conjoin`` drops a condition that always holds
+            plain.append(_lower_statement(stmt, reg, declared))
     if necessity:
         plain.append(apply_necessity(necessity))
 
@@ -152,13 +136,11 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
         elif isinstance(stmt, (ast.AndStmt, ast.OrStmt)):
             for item in stmt.items:
                 walk(item)
-        elif isinstance(stmt, ast.NotStmt):
+        elif isinstance(stmt, (ast.NotStmt, ast.Necessity)):
             walk(stmt.inner)
         elif isinstance(stmt, ast.IfStmt):
             walk(stmt.cond)
             walk(stmt.then)
-        elif isinstance(stmt, ast.Necessity):
-            walk(stmt.inner)
 
     for stmt in query.statements:
         walk(stmt)
@@ -205,10 +187,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         # never satisfy an ordering; ``a precedes a`` is emitted as the
         # (unsatisfiable) comparison it denotes.  The parser has already
         # swapped ``X follows Y`` into (Y, X).
-        for name in (stmt.before, stmt.after):
-            if name not in declared:
-                raise UndeclaredSubject(name)
-        b, a = Var(stmt.before), Var(stmt.after)
+        b, a = _var(stmt.before, declared), _var(stmt.after, declared)
         return And(
             (
                 Eq(Chain(b, ("getEnclosingCallable()",)), Chain(a, ("getEnclosingCallable()",))),
@@ -218,9 +197,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
     if isinstance(stmt, ast.SignaturePattern):
         # The argument count equals the list length, then one type check per
         # slot; the negative form negates the whole conjunction.
-        if stmt.method_name not in declared:
-            raise UndeclaredSubject(stmt.method_name)
-        subject = Var(stmt.method_name)
+        subject = _var(stmt.method_name, declared)
         checks = [Eq(Count(Chain(subject, ("getAnArgument()",))), Lit(len(stmt.type_names)))]
         for i, type_name in enumerate(stmt.type_names):
             checks.append(Eq(Chain(subject, (f"getArgument({i})", "getType()", "toString()")), Lit(type_name)))
@@ -232,28 +209,24 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
 def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> BoolExpr:
     if isinstance(stmt.rhs, ast.TypeAssumption):
         return TRUE  # contributes a declaration only
-    aliases_apply = isinstance(stmt.lhs, ast.Prefixed) and stmt.lhs.attribute == "type"
+    lhs, lhs_kind = _resolve(stmt.lhs, reg, declared)
     if isinstance(stmt.rhs, ast.LiteralList):
-        is_string = all(isinstance(i.value, str) for i in stmt.rhs.items)
-        lhs = resolve_exp(stmt.lhs, reg, declared, is_string)
-        items = [Lit(_aliased(i.value, reg, aliases_apply)) for i in stmt.rhs.items]
-        cond = expand_membership(lhs, items)
+        rhs = [Lit(i.value) for i in stmt.rhs.items]
+        rhs_kind = "string" if all(isinstance(i.value, str) for i in rhs) else "int"
     else:
-        is_string = isinstance(stmt.rhs, ast.Literal) and isinstance(stmt.rhs.value, str)
-        lhs = resolve_exp(stmt.lhs, reg, declared, is_string)
-        if isinstance(stmt.rhs, ast.Literal):
-            rhs: QlExpr = Lit(_aliased(stmt.rhs.value, reg, aliases_apply))
-        else:
-            rhs = resolve_exp(stmt.rhs, reg, declared)
-            # Two expressions compare as strings when either is string-valued,
-            # resolved again now that both sides are known to resolve.
-            if "string" in (_result_kind(stmt.lhs, reg), _result_kind(stmt.rhs, reg)):
-                lhs, rhs = (resolve_exp(e, reg, declared, True) for e in (stmt.lhs, stmt.rhs))
-        cond = TRUE if lhs == rhs == TRUE_OPERAND else Eq(lhs, rhs)
+        value, rhs_kind = _resolve(stmt.rhs, reg, declared)
+        rhs = [value]
+    # The two sides compare as strings when either is string-valued, a list
+    # when all its items are: then an object side, a declared name too, gains
+    # ``toString()``.
+    if lhs_kind == "object" and rhs_kind == "string":
+        lhs = _extended(lhs, ("toString()",))
+    elif lhs_kind == "string" and rhs_kind == "object":
+        rhs = [_extended(rhs[0], ("toString()",))]
+    if isinstance(stmt.lhs, ast.Prefixed) and stmt.lhs.attribute == "type":  # a simple type name, by its alias
+        rhs = [Lit(reg.resolve_alias(i.value)) if isinstance(i, Lit) and isinstance(i.value, str) else i for i in rhs]
+    if len(rhs) > 1:
+        cond = expand_membership(lhs, rhs)
+    else:
+        cond = TRUE if lhs == rhs[0] == TRUE_OPERAND else Eq(lhs, rhs[0])
     return Not(cond) if stmt.negated else cond
-
-
-def _aliased(value: str | int, reg: Registry, aliases_apply: bool) -> str | int:
-    if aliases_apply and isinstance(value, str):
-        return reg.resolve_alias(value)
-    return value

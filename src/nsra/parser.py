@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from .errors import EmptyList, IllegalCharacter, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, POSSESSIVE, STRING, WORD, Token
-from .lexer import ORDINALS, TokenKind, normalize, tokenize
+from .lexer import ORDINALS, TYPE_NOUNS, TokenKind, normalize, tokenize
 from .syntax import (
     AndStmt,
     Basic,
@@ -35,8 +35,6 @@ from .syntax import (
     Statement,
     TypeAssumption,
 )
-
-_TYPE_NOUNS = {("variable",): "variable", ("class",): "class", ("method", "access"): "method access"}
 
 # How deeply ``it is false that``, ``if .. then`` and attribute phrases, a
 # possessive among them, may nest, together: every later stage recurses once
@@ -299,7 +297,7 @@ def _of_subject(cur: _Cursor) -> Exp:  # what an attribute is of: a literal has 
 
 
 def _type_noun(cur: _Cursor) -> str | None:
-    for words, noun in _TYPE_NOUNS.items():
+    for words, noun in TYPE_NOUNS.items():
         if _at_phrase(cur, *words):
             # "method access" must not swallow an attribute use of "method".
             if cur.peek(len(words)).kind in (None, PERIOD, COMMA) or cur.at_word(

@@ -8,9 +8,9 @@ a string literal, a decimal integer or ``@ordinal``, the slot an ordinal
 adjective fills (zero-based at render time), one comma between two
 arguments.  ``#`` starts a comment outside a string literal.  A rule's word
 is one the parser reads as an attribute word in both phrasings, ``the word
-of x`` and ``x's word``, case-folded as the parser reads it; a ``[types]``
-key is one of the parser's type nouns.  User rules shadow built-in rules by
-attribute word.
+of x`` and ``x's word`` (``lexer._is_attribute_word``), other than ``of``,
+case-folded as the parser reads it; a ``[types]`` key is one of the type
+nouns.  User rules shadow built-in rules by attribute word.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import (
-    TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, SourceError, Span, UnknownAttribute
+    TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
 )
-from .parser import _TYPE_NOUNS, parse_text
+from .lexer import TYPE_NOUNS, _is_attribute_word
 from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, _token_span, escape_string
-from .syntax import Basic, Ident, Literal, Prefixed, QueryAst
 
 # Call names whose result is directly comparable to a string literal.
 _STRING_RESULTS = frozenset({"toString", "getName", "replaceAll", "splitAt"})
@@ -149,26 +148,20 @@ def load_profile(config_text: str, base: Registry | None = None) -> Registry:
         if section == "aliases":
             aliases[key] = value
         elif section == "types":
-            if word not in _TYPE_NOUNS.values():
-                nouns = ", ".join(_TYPE_NOUNS.values())
+            if word not in TYPE_NOUNS.values():
+                nouns = ", ".join(TYPE_NOUNS.values())
                 raise ConfigParseError(f"{key!r} is not a type noun: {nouns}", Span(at, at + len(key)))
             type_names[word] = value
         elif not _is_attribute_word(key):
             raise ConfigParseError(f"the parser does not read {key!r} as an attribute word", Span(at, at + len(key)))
+        elif word == "of":  # the parser reads it as one, but an attribute word must count as an operator
+            message = f"{key!r} cannot be an attribute word: the Halstead count reads 'of' as glue"
+            raise ConfigParseError(message, Span(at, at + len(key)))
         elif word in rules:
             raise DuplicateAttribute(f"attribute {word!r} defined twice in one profile", Span(at, at + len(key)))
         else:
             rules[word] = _read_template(word, config_text, at + len(body) - len(value), at + len(body))
     return Registry({**base.rules, **rules}, aliases, type_names)
-
-
-def _is_attribute_word(key: str) -> bool:
-    """True when the parser reads ``key`` as an attribute word in both phrasings."""
-    expected = QueryAst((Basic(Prefixed(key.lower(), None, Ident("x")), Literal(1)),))
-    try:
-        return parse_text(f"the {key} of x is 1.") == expected == parse_text(f"x's {key} is 1.")
-    except SourceError:
-        return False
 
 
 def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:

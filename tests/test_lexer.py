@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 import nsra.lexer
 from nsra.errors import IllegalCharacter, QuerySyntaxError, SourceError, Span, UnterminatedString, format_diagnostic
-from nsra.lexer import Token, TokenKind, normalize, tokenize
+from nsra.lexer import Token, TokenKind, _is_attribute_word, normalize, tokenize
 from nsra.parser import parse_query, parse_text
-from nsra.registry import _is_attribute_word
 from conftest import golden_text
 from front_end_oracle import oracle_drop_articles, oracle_expand_contractions, oracle_tokenize, reference_tokens
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from nsra import compile_text, syntax as ast
+from nsra import compile_text, lowering, syntax as ast
 from nsra.errors import (
     DuplicateDeclaration,
     MissingOrdinal,
@@ -24,15 +24,16 @@ from nsra.ir import (
     simplify,
 )
 from nsra.lowering import (
+    _lower_basic,
+    _resolve,
     apply_necessity,
     desugar_implication,
     expand_membership,
     lower,
-    resolve_exp,
 )
 from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql, render
-from nsra.registry import Registry, load_profile
+from nsra.registry import Registry, load_profile, lookup_attribute
 from conftest import golden_text
 from truth_table import atoms, truth_vector
 
@@ -41,34 +42,38 @@ def lower_text(text: str, registry):
     return lower(parse_text(text), registry)
 
 
-# --- resolve_exp -------------------------------------------------------------
+# --- _resolve ----------------------------------------------------------------
 
 
 def test_second_argument(registry):
     e = ast.Prefixed("argument", 2, ast.Ident("init"))
-    assert resolve_exp(e, registry, frozenset({"init"})) == Chain(Var("init"), ("getArgument(1)",))
+    assert _resolve(e, registry, frozenset({"init"})) == (Chain(Var("init"), ("getArgument(1)",)), "object")
+
+
+def _lowered_lhs(e: ast.Exp, registry, declared: set[str]):  # ``e`` as lowered against a string literal
+    return _lower_basic(ast.Basic(e, ast.Literal("PublicKey")), registry, frozenset(declared)).left
 
 
 def test_type_of_argument_string_comparison(registry):
     e = ast.Prefixed("type", None, ast.Prefixed("argument", 2, ast.Ident("init")))
-    resolved = resolve_exp(e, registry, frozenset({"init"}), comparison_is_string=True)
+    resolved = _lowered_lhs(e, registry, {"init"})
     assert resolved == Chain(Var("init"), ("getArgument(1)", "getType()", "toString()"))
 
 
 def test_object_valued_without_string_comparison_keeps_chain(registry):
     e = ast.Prefixed("type", None, ast.Prefixed("argument", 2, ast.Ident("init")))
-    resolved = resolve_exp(e, registry, frozenset({"init"}), comparison_is_string=False)
-    assert resolved.steps[-1] == "getType()"
+    resolved, kind = _resolve(e, registry, frozenset({"init"}))
+    assert resolved.steps[-1] == "getType()" and kind == "object"
 
 
 def test_name_of_method(registry):
     e = ast.Prefixed("name", None, ast.Ident("method1"))
-    assert resolve_exp(e, registry, frozenset({"method1"})) == Chain(Var("method1"), ("getName()",))
+    assert _resolve(e, registry, frozenset({"method1"})) == (Chain(Var("method1"), ("getName()",)), "string")
 
 
 def test_string_valued_rule_gets_no_tostring(registry):
     e = ast.Prefixed("algorithm", None, ast.Prefixed("argument", 1, ast.Ident("g")))
-    resolved = resolve_exp(e, registry, frozenset({"g"}), comparison_is_string=True)
+    resolved = _lowered_lhs(e, registry, {"g"})
     assert resolved.steps == (
         "getArgument(0)",
         "toString()",
@@ -79,22 +84,43 @@ def test_string_valued_rule_gets_no_tostring(registry):
 
 def test_unknown_attribute_propagates(registry):
     with pytest.raises(UnknownAttribute):
-        resolve_exp(ast.Prefixed("colour", None, ast.Ident("x")), registry, frozenset({"x"}))
+        _resolve(ast.Prefixed("colour", None, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_ordinal_on_slot_free_rule(registry):
     with pytest.raises(OrdinalNotAllowed):
-        resolve_exp(ast.Prefixed("name", 2, ast.Ident("x")), registry, frozenset({"x"}))
+        _resolve(ast.Prefixed("name", 2, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_missing_ordinal_on_slot_rule(registry):
     with pytest.raises(MissingOrdinal):
-        resolve_exp(ast.Prefixed("argument", None, ast.Ident("x")), registry, frozenset({"x"}))
+        _resolve(ast.Prefixed("argument", None, ast.Ident("x")), registry, frozenset({"x"}))
 
 
 def test_undeclared_subject_check(registry):
     with pytest.raises(UndeclaredSubject):
-        resolve_exp(ast.Ident("ghost"), registry, declared=frozenset({"init"}))
+        _resolve(ast.Ident("ghost"), registry, declared=frozenset({"init"}))
+
+
+@pytest.mark.parametrize(
+    "text, lookups",
+    [
+        ("x is a variable. the name of x is the type of x.", 2),
+        ('x is a variable. the type of x is "K".', 1),
+        ('An object of Cipher invokes init. The algorithm of the first argument of init is in ["AES", "DES"].', 2),
+    ],
+)
+def test_lowering_looks_each_attribute_phrase_up_once(registry, monkeypatch, text, lookups):
+    calls = []
+
+    def counted(word, reg):
+        calls.append(word)
+        return lookup_attribute(word, reg)
+
+    query = parse_text(text)
+    monkeypatch.setattr(lowering, "lookup_attribute", counted)
+    lower(query, registry)
+    assert len(calls) == lookups
 
 
 # --- logical helpers ---------------------------------------------------------
