@@ -16,7 +16,7 @@ from .errors import SourceError, format_diagnostic
 from .lowering import lower
 from .metrics import compare, format_row, halstead_nsra, halstead_ql
 from .parser import parse_text
-from .qlgen import dump_ir, normalize_ql, render
+from .qlgen import QlReader, canonical, dump_ir, read_ql, render, repaired
 from .registry import Registry, builtin_crypto_profile, load_profile
 
 PROFILE_ENV = "NSRA_PROFILE"
@@ -88,18 +88,8 @@ def _load_registry(profile_path: str | None) -> Registry:
     return _apply(load_profile, path, _read(path))
 
 
-def _lowered(text: str, registry: Registry):  # the query's IR; compile and metrics both run it
+def _lowered(text: str, registry: Registry):  # the query's IR; every command runs it
     return lower(parse_text(text), registry)
-
-
-def _compile_file(path: str, text: str, registry: Registry, emit: str, header: str | None) -> str:
-    ir = _apply(_lowered, path, text, registry)
-    if emit == "ir":
-        return dump_ir(ir)
-    out = render(ir)
-    if header:
-        out = header.rstrip("\n") + "\n" + out
-    return out
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -110,7 +100,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     summary: list[str] = []
     for path in args.inputs:
         try:
-            out = _compile_file(path, _read(path, f"{path}: "), registry, args.emit, args.header)
+            ir = _apply(_lowered, path, _read(path, f"{path}: "), registry)
+            out = dump_ir(ir) if args.emit == "ir" else render(ir)
+            if args.header and args.emit == "ql":
+                out = args.header.rstrip("\n") + "\n" + out
             if args.output:
                 _write(args.output, out)
             elif len(args.inputs) == 1:
@@ -147,23 +140,29 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # Two texts normalize alike exactly when their imports and the IR read
+    # from them are equal, and the lowered IR is what its rendering reads back
+    # as, so nothing is rendered unless the two differ.
     registry = _load_registry(args.profile)
-    compiled = _compile_file(args.input, _read(args.input), registry, "ql", args.header)
-    golden = _read(args.golden)
-    right = _apply(normalize_ql, args.golden, golden)
-    try:
-        # The compiled text is the header followed by render's output, which
-        # always reads, so an error here is in the header.
-        left = normalize_ql(compiled)
-    except SourceError as err:
-        raise _Diagnostic(f"error: --header: {err.message}") from err
-    if left == right:
+    ir = _apply(_lowered, args.input, _read(args.input), registry)
+    golden_imports, golden = _apply(read_ql, args.golden, _read(args.golden))
+    imports: list[str] = []
+    if args.header:  # read on its own: import lines and comments only
+        try:
+            header = QlReader(args.header)
+            if header.tokens[header.pos]:
+                header.expect("import")
+        except SourceError as err:
+            raise _Diagnostic(f"error: --header: {err.message}") from err
+        imports = header.imports
+    if imports == golden_imports and (ir == golden or repaired(ir) == golden):
         print(f"{args.input}: matches {args.golden}")
         return 0
     print(f"{args.input}: does not match {args.golden}", file=sys.stderr)
     import difflib  # here, not at the top: only a mismatch needs it
 
-    for line in difflib.unified_diff(right.splitlines(), left.splitlines(), args.golden, args.input, lineterm=""):
+    left, right = canonical(imports, repaired(ir)).splitlines(), canonical(golden_imports, golden).splitlines()
+    for line in difflib.unified_diff(right, left, args.golden, args.input, lineterm=""):
         print(line, file=sys.stderr)
     return 1
 

@@ -1,5 +1,5 @@
-"""CodeQL text generation, the QL reader, and the canonical normalizer used
-by golden tests.
+"""CodeQL text generation, the QL reader, and the canonical form that golden
+checks compare.
 
 ``render`` turns a QueryIR into query text with minimal parenthesization
 (plus parentheses around every negation operand and existential body).
@@ -7,10 +7,14 @@ by golden tests.
 a match with no token; ``QlReader`` reads leading ``import`` lines apart from
 the query, which must be in the subset the renderer emits, one comma between
 list items.  Anything else, an integer too long for ``int`` included, is a
-``QlLexError`` at its position.  ``normalize_ql`` re-reads query text and
-re-renders it one clause per line, so texts differing only in whitespace,
-comments or redundant grouping normalize to identical bytes.  Token order is
-preserved; nothing is sorted.
+``QlLexError`` at its position.  ``read_ql`` reads the import names and the
+query, restoring the underscores lost from string literals; ``repaired``
+restores a lowered IR alike.  ``canonical`` writes import lines and a query
+one clause per line, and ``normalize_ql`` is ``canonical`` of ``read_ql``:
+texts differing only in whitespace, comments or redundant grouping normalize
+to identical bytes, and two texts normalize alike exactly when their imports
+and their IRs are equal, which is what ``nsra check`` compares.  Token order
+is preserved; nothing is sorted.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import math
 import re
 
-from .errors import TOO_LONG_INTEGER, QlLexError, Span
+from .errors import TOO_LONG_INTEGER, QlLexError, Record, Span
 from .ir import (
     And,
     BoolExpr,
@@ -412,17 +416,31 @@ def read_query_text(text: str) -> QueryIR:
     return QlReader(text).read_query()
 
 
-def normalize_ql(text: str) -> str:
-    """Canonical form for golden comparison: idempotent, token-preserving.
-
-    Reads the text and writes its import lines, one per line and in order,
-    then the query re-rendered one clause per line with canonical spacing
-    and minimal parentheses.  Inside string literals, a space between
-    capitals or digits reads as the underscore it lost.  Comments are
-    skipped, so they are not compared.  Text that does not read raises
-    ``QlLexError`` at its position.
-    """
+def read_ql(text: str) -> tuple[list[str], QueryIR]:
+    """The import names and the query of QL text, with lost underscores restored."""
     reader = QlReader(text)
     reader.literal = _restore_underscores  # from here on, after the import lines
-    ir = reader.read_query()
-    return "".join(f"import {name}\n" for name in reader.imports) + render(ir, line_width=math.inf)
+    return reader.imports, reader.read_query()
+
+
+def repaired(node):
+    """``node`` with every string in it restored as ``read_ql`` restores a literal."""
+    # In a lowered IR only string literals and call steps hold spaces, and a
+    # step's spaces outside its literals follow commas, so restoring a whole
+    # step restores each literal in it as the reader would.
+    if isinstance(node, Record):
+        return type(node)(*map(repaired, node._values(node)))
+    if isinstance(node, tuple):
+        return tuple(map(repaired, node))
+    return _restore_underscores(node) if isinstance(node, str) else node
+
+
+def canonical(imports: list[str], ir: QueryIR) -> str:
+    """Import lines, one per line and in order, then the query one clause per line."""
+    return "".join(f"import {name}\n" for name in imports) + render(ir, line_width=math.inf)
+
+
+def normalize_ql(text: str) -> str:
+    """Canonical form for golden comparison, idempotent and token-preserving;
+    text that does not read raises ``QlLexError`` at its position."""
+    return canonical(*read_ql(text))

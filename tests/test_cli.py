@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import nsra
+from nsra import cli, qlgen
 from nsra.cli import run
 from nsra.parser import MAX_NESTING
 from nsra.qlgen import normalize_ql
@@ -265,10 +268,49 @@ def test_check_reports_golden_syntax_error(workdir, capsys):
 
 
 def test_check_reports_header_error(workdir, capsys):
+    """The header is read on its own, as import lines and comments, and an
+    error is the reader's message at the header's own token."""
     src = str(GOLDEN / "example_invoke.nsra")
     golden = str(GOLDEN / "example_invoke.ql")
-    assert run(["check", src, "--golden", golden, "--header", "/* never closed"]) == 1
-    assert capsys.readouterr().err == "error: --header: unterminated comment\n"
+    for header, message in [
+        ("/* never closed", "unterminated comment"),
+        ("import a.", "expected ident, found 'end'"),  # not the query's 'from' joined to the name
+        ('"abc', "unterminated string literal"),  # not a string run into the query
+        ("import java\nfrom T t", "expected import, found 'from'"),
+    ]:
+        assert run(["check", src, "--golden", golden, "--header", header]) == 1
+        assert capsys.readouterr() == ("", f"error: --header: {message}\n")
+
+
+@pytest.mark.parametrize("header", [None, "import java"])
+def test_check_reads_the_golden_once_and_renders_only_on_a_mismatch(workdir, capsys, header):
+    """A match lexes the golden and the header, once each, and renders
+    nothing; a mismatch renders each side once, for the diff."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, *args[:1]))
+            return fn(*args, **kwargs)
+
+        return call
+
+    src = str(GOLDEN / "task1.nsra")
+    reference = (f"{header}\n" if header else "") + golden_text("task1.ql")
+    golden = write(workdir / "task1.ql", reference)
+    other = write(workdir / "other.ql", "import java\nselect 1\n")
+    extra = ["--header", header] if header else []
+    with contextlib.ExitStack() as stack:
+        for module in (qlgen, cli):
+            for name in ("lex_ql", "render", "normalize_ql"):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, counted(name, getattr(module, name))))
+        assert run(["check", src, "--golden", golden, *extra]) == 0
+        assert calls == [("lex_ql", reference)] + [("lex_ql", header)] * bool(header)
+        calls.clear()
+        assert run(["check", src, "--golden", other, *extra]) == 1
+    assert [name for name, *_ in calls] == ["lex_ql"] * (1 + bool(header)) + ["render", "render"]
+    capsys.readouterr()
 
 
 def test_profile_env_var(workdir, capsys, monkeypatch):
