@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("-o", "--output", help="output path (single input only)")
     comp.add_argument("--profile", help="attribute profile file")
     comp.add_argument("--emit", choices=("ql", "ir"), default="ql")
-    comp.add_argument("--header", help="verbatim header text prepended to QL output")
+    comp.add_argument("--header", help="import lines and comments, written verbatim above the QL output")
 
     met = sub.add_parser("metrics", help="compare query metrics against a CodeQL file")
     met.add_argument("input", metavar="FILE")
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("input", metavar="FILE")
     chk.add_argument("--golden", required=True, help="expected CodeQL file")
     chk.add_argument("--profile", help="attribute profile file")
-    chk.add_argument("--header", help="verbatim header text prepended before comparing")
+    chk.add_argument("--header", help="import lines and comments, whose imports the golden's must equal")
     return parser
 
 
@@ -88,6 +88,17 @@ def _load_registry(profile_path: str | None) -> Registry:
     return _apply(load_profile, path, _read(path))
 
 
+def _header_imports(header: str) -> list[str]:
+    """The import names of a ``--header``, which holds import lines and comments only."""
+    try:
+        reader = QlReader(header)
+        if reader.tokens[reader.pos]:
+            reader.expect("import")
+    except SourceError as err:
+        raise _Diagnostic(f"error: --header: {err.message}") from err
+    return reader.imports
+
+
 def _lowered(text: str, registry: Registry):  # the query's IR; every command runs it
     return lower(parse_text(text), registry)
 
@@ -96,13 +107,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.output and len(args.inputs) > 1:
         print("error: -o/--output needs exactly one input file", file=sys.stderr)
         return 2
+    if args.header is not None and args.emit == "ir":
+        print("error: --header needs --emit ql", file=sys.stderr)
+        return 2
     registry = _load_registry(args.profile)
+    if args.header:
+        _header_imports(args.header)  # before any output is written
     summary: list[str] = []
     for path in args.inputs:
         try:
             ir = _apply(_lowered, path, _read(path, f"{path}: "), registry)
             out = dump_ir(ir) if args.emit == "ir" else render(ir)
-            if args.header and args.emit == "ql":
+            if args.header:
                 out = args.header.rstrip("\n") + "\n" + out
             if args.output:
                 _write(args.output, out)
@@ -123,13 +139,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     registry = _load_registry(args.profile)
     text, ql_text = _read(args.input), _read(args.ql)
-    _apply(_lowered, args.input, text, registry)  # a query that does not compile has no counts
-    nsra_counts = _apply(halstead_nsra, args.input, text, registry)
-    ql_counts = _apply(halstead_ql, args.ql, ql_text)
-    try:
-        row = compare(nsra_counts, ql_counts)
-    except ZeroDivisionError as err:
-        raise _Diagnostic(f"error: {err}") from err
+    # Neither a query that does not compile nor QL that does not read as a
+    # query has counts; once both read, counting cannot fail.
+    _apply(_lowered, args.input, text, registry)
+    _apply(read_ql, args.ql, ql_text)
+    row = compare(halstead_nsra(text, registry), halstead_ql(ql_text))
     if args.json:
         import json  # here, not at the top: only --json needs it
 
@@ -146,15 +160,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     registry = _load_registry(args.profile)
     ir = _apply(_lowered, args.input, _read(args.input), registry)
     golden_imports, golden = _apply(read_ql, args.golden, _read(args.golden))
-    imports: list[str] = []
-    if args.header:  # read on its own: import lines and comments only
-        try:
-            header = QlReader(args.header)
-            if header.tokens[header.pos]:
-                header.expect("import")
-        except SourceError as err:
-            raise _Diagnostic(f"error: --header: {err.message}") from err
-        imports = header.imports
+    imports = _header_imports(args.header) if args.header else []
     if imports == golden_imports and (ir == golden or repaired(ir) == golden):
         print(f"{args.input}: matches {args.golden}")
         return 0

@@ -125,28 +125,19 @@ def _dual(group: And | Or) -> BoolExpr:
 
 def simplify(e: BoolExpr) -> BoolExpr:
     """Normalize a boolean tree; logically equivalent to the input."""
-    if isinstance(e, And):
+    group = type(e)
+    if group is And or group is Or:
         items: list[BoolExpr] = []
-        for child in (simplify(i) for i in e.items):
-            if isinstance(child, And):
+        for child in map(simplify, e.items):
+            if type(child) is group:
                 items.extend(child.items)
-            else:
-                items.append(child)
-        return conjoin(items)
-    if isinstance(e, Or):
-        items = []
-        for child in (simplify(i) for i in e.items):
             # "not true" is vacuous inside a disjunction.
-            if isinstance(child, Not) and isinstance(child.inner, TrueExpr):
-                continue
-            if isinstance(child, Or):
-                items.extend(child.items)
-            else:
+            elif group is And or type(child) is not Not or type(child.inner) is not TrueExpr:
                 items.append(child)
-        if not items:  # every disjunct was "not true"
-            return Not(TRUE)
-        return disjoin(items)
-    if isinstance(e, Not):
+        if group is And:
+            return conjoin(items)
+        return disjoin(items) if items else Not(TRUE)  # every disjunct was "not true"
+    if group is Not:
         raw = e.inner
         if isinstance(raw, Not):
             return simplify(raw.inner)
@@ -163,6 +154,6 @@ def simplify(e: BoolExpr) -> BoolExpr:
         if isinstance(inner, (And, Or)) and _push_pays(inner):
             return simplify(_dual(inner))
         return Not(inner)
-    if isinstance(e, Exists):
+    if group is Exists:
         return Exists(e.decl, simplify(e.body))
     return e

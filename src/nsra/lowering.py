@@ -156,10 +156,9 @@ def _ql_type(noun: str, reg: Registry) -> str:  # the QL class the profile's ``[
 def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str]) -> BoolExpr:
     if isinstance(stmt, ast.Basic):
         return _lower_basic(stmt, reg, declared)
-    if isinstance(stmt, ast.AndStmt):
-        return And(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
-    if isinstance(stmt, ast.OrStmt):
-        return Or(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
+    if isinstance(stmt, (ast.AndStmt, ast.OrStmt)):
+        group = And if isinstance(stmt, ast.AndStmt) else Or
+        return group(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
     if isinstance(stmt, ast.NotStmt):
         return Not(_lower_statement(stmt.inner, reg, declared))
     if isinstance(stmt, ast.IfStmt):

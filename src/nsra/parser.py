@@ -128,10 +128,10 @@ def _sentence(cur: _Cursor) -> Statement:
     if _at_phrase(cur, "it", "is", "necessary", "that"):
         for _ in range(4):
             cur.take()
-        inner = _or_chain(cur)
+        inner = _chain(cur)
         stmt: Statement = Necessity(inner)
     else:
-        stmt = _or_chain(cur)
+        stmt = _chain(cur)
     cur.expect_kind(PERIOD, "'.'")
     return stmt
 
@@ -140,24 +140,15 @@ def _at_phrase(cur: _Cursor, *words: str) -> bool:
     return cur.words[cur.pos : cur.pos + len(words)] == [*words]
 
 
-def _or_chain(cur: _Cursor) -> Statement:
-    items = [_and_chain(cur)]
-    while cur.at_word("or"):
+def _chain(cur: _Cursor, group: type[AndStmt | OrStmt] = OrStmt) -> Statement:
+    """Operands joined by ``or``, each an and-chain, or by ``and``, each a unit.
+    A unit sees the unit before it, for ``... and is not [...]``."""
+    word = "or" if group is OrStmt else "and"
+    items = [_chain(cur, AndStmt) if group is OrStmt else _unit(cur, None)]
+    while cur.words[cur.pos] == word:  # ``cur.at_word(word)`` without the call, as each sentence reads two chains
         cur.take()
-        items.append(_and_chain(cur))
-    if len(items) == 1:
-        return items[0]
-    return OrStmt(tuple(items))
-
-
-def _and_chain(cur: _Cursor) -> Statement:
-    items = [_unit(cur, previous=None)]
-    while cur.at_word("and"):
-        cur.take()
-        items.append(_unit(cur, previous=items[-1]))
-    if len(items) == 1:
-        return items[0]
-    return AndStmt(tuple(items))
+        items.append(_chain(cur, AndStmt) if group is OrStmt else _unit(cur, items[-1]))
+    return items[0] if len(items) == 1 else group(tuple(items))
 
 
 def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
@@ -179,11 +170,11 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
     if cur.at_word("if"):
         cur.descend()
         cur.take()
-        cond = _or_chain(cur)
+        cond = _chain(cur)
         if cur.at_kind(COMMA):  # tolerated before "then"
             cur.take()
         cur.expect_word("then")
-        then = _and_chain(cur)
+        then = _chain(cur, AndStmt)
         cur.depth -= 1
         return IfStmt(cond, then)
     return _simple(cur, previous)

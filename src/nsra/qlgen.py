@@ -44,8 +44,6 @@ from .ir import (
     Var,
 )
 
-_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
-
 # The words the reader reads as keywords, so a QL variable cannot be named by one.
 QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
 
@@ -71,27 +69,29 @@ def _value_text(e: QlExpr) -> str:
     return e.name  # Var
 
 
+# Each connective's QL keyword, its separator and how tightly it binds: a
+# group is parenthesized inside one that binds more tightly, and ``not (...)``
+# and ``exists (...)`` bring their own parentheses.
+_CONNECTIVES = {Or: ("or", " or ", 1), And: ("and", " and ", 2)}
+
+
 def _bool_text(e: BoolExpr, parent_prec: int = 0) -> str:
-    if isinstance(e, Eq):
+    kind = type(e)
+    if kind is Eq:
         return f"{_value_text(e.left)} = {_value_text(e.right)}"
-    if isinstance(e, Lt):
+    if kind is Lt:
         return f"{_value_text(e.left)} < {_value_text(e.right)}"
-    if isinstance(e, Not):
-        text, prec = f"not ({_bool_text(e.inner)})", _PREC_NOT
-    elif isinstance(e, Exists):
-        decl = f"{e.decl.ql_type} {e.decl.var_name}"
-        text, prec = f"exists ({decl} | {_bool_text(e.body)})", _PREC_ATOM
-    elif isinstance(e, And):
-        text, prec = " and ".join(_bool_text(i, _PREC_AND) for i in e.items), _PREC_AND
-    elif isinstance(e, Or):
-        text, prec = " or ".join(_bool_text(i, _PREC_OR) for i in e.items), _PREC_OR
-    elif isinstance(e, TrueExpr):
+    if kind in _CONNECTIVES:
+        _, sep, prec = _CONNECTIVES[kind]
+        text = sep.join([_bool_text(i, prec) for i in e.items])
+        return f"({text})" if prec < parent_prec else text
+    if kind is Not:
+        return f"not ({_bool_text(e.inner)})"
+    if kind is Exists:
+        return f"exists ({e.decl.ql_type} {e.decl.var_name} | {_bool_text(e.body)})"
+    if kind is TrueExpr:
         return "1 = 1"
-    else:
-        raise TypeError(f"cannot render {e!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    raise TypeError(f"cannot render {e!r}")
 
 
 def _wrap(first: str, parts: list[str], sep: str, line_width: float) -> list[str]:
@@ -124,16 +124,12 @@ def render(ir: QueryIR, *, line_width: float = 100) -> str:
     if ir.decls:
         decl_parts = [f"{d.ql_type} {d.var_name}" for d in ir.decls]
         lines.extend(_wrap("from ", decl_parts, ", ", line_width))
-    if not isinstance(ir.condition, TrueExpr):
-        if isinstance(ir.condition, And):
-            parts = [_bool_text(i, _PREC_AND) for i in ir.condition.items]
-            sep = " and "
-        elif isinstance(ir.condition, Or):
-            parts = [_bool_text(i, _PREC_OR) for i in ir.condition.items]
-            sep = " or "
-        else:
-            parts, sep = [_bool_text(ir.condition)], " "
-        lines.extend(_wrap("where ", parts, sep, line_width))
+    condition = ir.condition
+    if type(condition) in _CONNECTIVES:  # the clause breaks between the top group's operands
+        _, sep, prec = _CONNECTIVES[type(condition)]
+        lines.extend(_wrap("where ", [_bool_text(i, prec) for i in condition.items], sep, line_width))
+    elif type(condition) is not TrueExpr:
+        lines.append("where " + _bool_text(condition))
     select_parts = list(ir.selects) or ["1"]
     lines.extend(_wrap("select ", select_parts, ", ", line_width))
     return "\n".join(lines) + "\n"
@@ -155,8 +151,8 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
     if isinstance(e, (Eq, Lt)):
         op = "=" if isinstance(e, Eq) else "<"
         out.append(f"{pad}{op} {_value_text(e.left)} :: {_value_text(e.right)}")
-    elif isinstance(e, (And, Or)):
-        out.append(pad + ("and" if isinstance(e, And) else "or"))
+    elif type(e) in _CONNECTIVES:
+        out.append(pad + _CONNECTIVES[type(e)][0])
         for i in e.items:
             _dump_bool(i, out, depth + 1)
     elif isinstance(e, Not):
@@ -265,7 +261,7 @@ class QlReader:
             self.imports.append(name)
 
     def literal(self, tok: str) -> str:
-        """A literal token as read; ``normalize_ql`` replaces this method."""
+        """A literal token as read; ``read_ql`` replaces this method."""
         return tok
 
     def error(self, message: str, index: int | None = None) -> QlLexError:
@@ -313,7 +309,7 @@ class QlReader:
                 self.pos += 1
         if toks[self.pos] == "where":
             self.pos += 1
-            condition = self.read_or()
+            condition = self.read_group()
         self.expect("select")
         if not toks[self.pos]:
             raise self.error("empty select list")
@@ -322,22 +318,16 @@ class QlReader:
 
     # boolean structure -----------------------------------------------------
 
-    def read_or(self) -> BoolExpr:
+    def read_group(self, group: type[And | Or] = Or) -> BoolExpr:
+        """Operands joined by ``group``'s keyword, ``and`` groups under ``or`` and unary
+        conditions under ``and``; a parenthesized group of the same connective is flattened."""
+        keyword = _CONNECTIVES[group][0]
         items: list[BoolExpr] = []
         while True:
-            child = self.read_and()
-            items.extend(child.items) if isinstance(child, Or) else items.append(child)
-            if self.tokens[self.pos] != "or":
-                return items[0] if len(items) == 1 else Or(tuple(items))
-            self.pos += 1
-
-    def read_and(self) -> BoolExpr:
-        items: list[BoolExpr] = []
-        while True:
-            child = self.read_unary()
-            items.extend(child.items) if isinstance(child, And) else items.append(child)
-            if self.tokens[self.pos] != "and":
-                return items[0] if len(items) == 1 else And(tuple(items))
+            child = self.read_group(And) if group is Or else self.read_unary()
+            items.extend(child.items) if type(child) is group else items.append(child)
+            if self.tokens[self.pos] != keyword:
+                return items[0] if len(items) == 1 else group(tuple(items))
             self.pos += 1
 
     def read_unary(self) -> BoolExpr:
@@ -346,16 +336,16 @@ class QlReader:
             return self.read_comparison()
         self.pos += 1
         if tok == "(":
-            inner = self.read_or()
+            inner = self.read_group()
         elif tok == "not":
             self.expect("(")
-            inner = Not(self.read_or())
+            inner = Not(self.read_group())
         else:
             self.expect("(")
             ql_type = self.expect()
             decl = Decl(self.expect(), ql_type)
             self.expect("|")
-            inner = Exists(decl, self.read_or())
+            inner = Exists(decl, self.read_group())
         self.expect(")")
         return inner
 

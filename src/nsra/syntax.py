@@ -135,10 +135,8 @@ def statement_to_text(s: Statement) -> str:
         if isinstance(s.rhs, LiteralList):
             return f"{exp_to_text(s.lhs)} {verb} in {_list_to_text(s.rhs.items)}"
         return f"{exp_to_text(s.lhs)} {verb} {exp_to_text(s.rhs)}"
-    if isinstance(s, AndStmt):
-        return " and ".join(statement_to_text(i) for i in s.items)
-    if isinstance(s, OrStmt):
-        return " or ".join(statement_to_text(i) for i in s.items)
+    if isinstance(s, (AndStmt, OrStmt)):
+        return (" and " if isinstance(s, AndStmt) else " or ").join(statement_to_text(i) for i in s.items)
     if isinstance(s, NotStmt):
         return f"it is false that {statement_to_text(s.inner)}"
     if isinstance(s, IfStmt):

@@ -151,6 +151,17 @@ def test_metrics_diagnostic_points_into_the_ql_file(workdir, capsys):
     assert capsys.readouterr().err.startswith(f"{bad}:2:24: error: ")
 
 
+def test_metrics_reads_the_ql_file_as_check_reads_a_golden(workdir, capsys):
+    """A reference that lexes but is no query has no counts: ``metrics``
+    fails with the diagnostic ``check`` gives for it as a golden."""
+    src = str(GOLDEN / "example_invoke.nsra")
+    bad = write(workdir / "bad.ql", ") ( where where = = select")
+    assert run(["metrics", src, "--ql", bad]) == 1
+    assert capsys.readouterr() == ("", f"{bad}:1:1: error: expected select, found ')'\n")
+    assert run(["check", src, "--golden", bad]) == 1
+    assert capsys.readouterr() == ("", f"{bad}:1:1: error: expected select, found ')'\n")
+
+
 def test_failed_compile_leaves_no_output(workdir):
     bad = write(workdir / "bad.nsra", "this is not a query")
     target = workdir / "bad.ql"
@@ -226,6 +237,35 @@ def test_header_prepended(workdir, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == header
     assert out.splitlines()[1].startswith("from ")
+
+
+def test_compile_reports_header_error_and_writes_nothing(workdir, capsys):
+    """``compile`` reads ``--header`` as ``check`` does, before it writes any output."""
+    src = str(GOLDEN / "example_invoke.nsra")
+    target = workdir / "out.ql"
+    for header, message in [
+        ("import a.", "expected ident, found 'end'"),
+        ("from T t", "expected import, found 'from'"),
+    ]:
+        assert run(["compile", src, "--header", header, "-o", str(target)]) == 1
+        assert capsys.readouterr() == ("", f"error: --header: {message}\n")
+        assert not target.exists()
+
+
+def test_header_with_emit_ir_is_a_usage_error(workdir, capsys):
+    src = str(GOLDEN / "example_invoke.nsra")
+    assert run(["compile", src, "--emit", "ir", "--header", "import java"]) == 2
+    assert capsys.readouterr() == ("", "error: --header needs --emit ql\n")
+
+
+def test_compiled_header_checks_with_the_same_header(workdir, capsys):
+    src = str(GOLDEN / "task1.nsra")
+    header = "/** @name q */\nimport java"
+    out = workdir / "task1.ql"
+    assert run(["compile", src, "--header", header, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith(header + "\nfrom ")
+    assert run(["check", src, "--golden", str(out), "--header", header]) == 0
+    assert capsys.readouterr().out == f"{src}: matches {out}\n"
 
 
 def test_profile_flag(workdir, capsys):
@@ -441,7 +481,7 @@ def test_output_into_a_missing_directory_is_an_error_not_a_traceback(workdir, ca
 def test_metrics_against_an_empty_query_is_an_error(workdir, capsys):
     ref = write(workdir / "empty.ql", "import java\n")
     assert run(["metrics", str(GOLDEN / "task1.nsra"), "--ql", ref]) == 1
-    assert capsys.readouterr().err == "error: cannot compare against an empty query\n"
+    assert capsys.readouterr().err == f"{ref}:2:1: error: expected select, found 'end'\n"
 
 
 def test_emit_ir_dumps_negation_existential_and_true(workdir, capsys):

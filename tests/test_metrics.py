@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsra import compile_text
-from nsra.errors import SourceError
+from nsra import syntax as ast
+from nsra.errors import Record, SourceError
+from nsra.lowering import lower
 from nsra.metrics import (
     HalsteadCounts,
     compare,
@@ -19,7 +22,8 @@ from nsra.metrics import (
     halstead_ql,
     nsra_terms,
 )
-from nsra.registry import load_profile
+from nsra.parser import parse_text
+from nsra.registry import builtin_crypto_profile, load_profile
 from conftest import GOLDEN, QL_PREAMBLES, golden_text
 from front_end_oracle import oracle_terms
 
@@ -279,6 +283,73 @@ def test_count_pass_matches_the_token_loop(text):
     same error at the same span, with the built-in and the benchmark profile."""
     for registry in _REGISTRIES:
         assert _terms_or_error(nsra_terms, text, registry) == _terms_or_error(oracle_terms, text, registry)
+
+
+# --- a word means the same thing to the parser and the metrics ---------------
+
+
+def _tree_terms(node) -> set:
+    """The names and literals of a parse tree, classed as ``nsra_terms`` classes its user terminals."""
+    if isinstance(node, ast.Ident):
+        return {("id", node.name)}
+    if isinstance(node, ast.Literal):
+        return {("str" if isinstance(node.value, str) else "int", node.value)}
+    if isinstance(node, ast.InvocationPattern):
+        return {("id", node.class_name), ("id", node.method_name)}
+    if isinstance(node, ast.OrderingPattern):
+        return {("id", node.before), ("id", node.after)}
+    if isinstance(node, ast.SignaturePattern):
+        return {("id", node.method_name), *(("str", name) for name in node.type_names)}
+    if isinstance(node, tuple):
+        return set().union(*map(_tree_terms, node))
+    if isinstance(node, Record):  # any other node: the terms of its fields
+        return set().union(*(_tree_terms(getattr(node, name)) for name in node.__slots__))
+    return set()  # an attribute word, an ordinal, a type noun, a flag
+
+
+def _term_inputs() -> list:
+    """(query, registry): the goldens and rules, the benchmark generator's
+    task-sized queries in both phrasings with the built-in and the
+    benchmark profile, and word deletions, duplications and swaps of them."""
+    builtin, profiled = builtin_crypto_profile(), load_profile(gen.PROFILE_TEXT)
+    paths = sorted(GOLDEN.glob("*.nsra")) + sorted((GOLDEN / "rules").glob("*.nsra"))
+    inputs = [(path.read_text(encoding="utf-8"), builtin) for path in paths]
+    for generator, registry in ((gen.Generator(0), builtin), (gen.Generator(0, profile=True), profiled)):
+        for i in range(100):
+            query = generator.task_sized(1 + i % 8)
+            inputs += [(query.text(phrasing), registry) for phrasing in ("poss", "plain")]
+    rng = random.Random(0)
+    for text, registry in inputs[:]:
+        for _ in range(24):
+            words = text.split()
+            i, j = rng.randrange(len(words)), rng.randrange(len(words))
+            edit = rng.choice(("delete", "duplicate", "swap"))
+            if edit == "delete":
+                del words[i]
+            elif edit == "duplicate":
+                words.insert(i, words[i])
+            else:
+                words[i], words[j] = words[j], words[i]
+            inputs.append((" ".join(words), registry))
+    return inputs
+
+
+def test_user_terminals_are_the_names_and_literals_of_the_parse_tree():
+    """For each query that compiles, the distinct ``id``, ``str`` and ``int``
+    terms of ``nsra_terms`` are the names and literals its parse tree holds.
+    Sets, not counts: an elliptical signature's subject is written once, but
+    each ``SignaturePattern`` holds it."""
+    compiled = 0
+    for text, registry in _term_inputs():
+        try:
+            tree = parse_text(text)
+            lower(tree, registry)
+        except SourceError:
+            continue
+        compiled += 1
+        terms = {term for term in nsra_terms(text, registry) if term[0] in ("id", "str", "int")}
+        assert terms == _tree_terms(tree), text
+    assert compiled > 1500
 
 
 def test_readme_halstead_table_matches_the_counts():
