@@ -55,10 +55,10 @@ class _Diagnostic(Exception):
 
 
 def _read(path: str, prefix: str = "") -> str:
-    """The text of ``path``; an ``OSError`` or bytes that are not UTF-8 become a
-    diagnostic after ``prefix``."""
+    """The text of ``path``, without a UTF-8 byte-order mark; an ``OSError`` or
+    bytes that are not UTF-8 become a diagnostic after ``prefix``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as err:
         raise _Diagnostic(f"{prefix}error: {err}") from err
     except UnicodeDecodeError as err:

@@ -65,33 +65,6 @@ ARTICLES = frozenset({"a", "an", "the"})
 # parser reads after ``is``, and the keys of a profile's ``[types]``.
 TYPE_NOUNS = {("variable",): "variable", ("class",): "class", ("method", "access"): "method access"}
 
-# Closed vocabulary of structural words.  Anything alphabetic outside this set
-# (and the ordinals) lexes as an identifier; attribute words such as
-# "algorithm" are identifiers whose attribute role is positional.
-STRUCTURE_WORDS = frozenset(
-    {
-        "object",
-        "of",
-        "invokes",
-        "invoke",
-        "does",
-        "not",
-        "is",
-        "in",
-        "it",
-        "false",
-        "necessary",
-        "that",
-        "if",
-        "then",
-        "and",
-        "or",
-        "precedes",
-        "follows",
-        "signature",
-    }
-).union(ARTICLES, *TYPE_NOUNS)
-
 # The contraction ``normalize`` expands, case-folded, and the words it stands for.
 _CONTRACTIONS = dict.fromkeys(("doesn't", "doesn’t"), ("does", "not"))
 
@@ -101,6 +74,17 @@ _CONTRACTIONS = dict.fromkeys(("doesn't", "doesn’t"), ("does", "not"))
 _ARTICLE_STOPPERS = frozenset(
     {"is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in"}
 ).union(_CONTRACTIONS)
+
+# The words that open a pattern or an ``if``.
+_OPENERS = frozenset({"object", "signature", "if"})
+
+# Closed vocabulary of structural words: each word of the role sets above, and
+# the words that have no other role.  Anything alphabetic outside this set (and
+# the ordinals) lexes as an identifier; attribute words such as "algorithm"
+# are identifiers whose attribute role is positional.
+STRUCTURE_WORDS = frozenset(("of", "not", "it", "false", "necessary", "that")).union(
+    ARTICLES, _ARTICLE_STOPPERS.difference(_CONTRACTIONS), _OPENERS, *TYPE_NOUNS
+)
 
 # Each match is a skip prefix of whitespace, then one token: one alternative
 # per token kind, tried in order, as in the "Writing a Tokenizer" recipe of
@@ -137,7 +121,7 @@ _LEADS = {
 # The words the parser reads in another role where ``the word of x`` or
 # ``x's word`` puts an attribute word: an article, a statement keyword that
 # stops an article, an ordinal, or the start of a pattern or an ``if``.
-_NOT_ATTRIBUTES = ARTICLES.union(_ARTICLE_STOPPERS, ORDINALS, ("object", "signature", "if"))
+_NOT_ATTRIBUTES = ARTICLES.union(_ARTICLE_STOPPERS, ORDINALS, _OPENERS)
 
 
 def _is_attribute_word(word: str) -> bool:

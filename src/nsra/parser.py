@@ -126,10 +126,8 @@ def parse_query(tokens: list[Token]) -> QueryAst:
 
 def _sentence(cur: _Cursor) -> Statement:
     if _at_phrase(cur, "it", "is", "necessary", "that"):
-        for _ in range(4):
-            cur.take()
-        inner = _chain(cur)
-        stmt: Statement = Necessity(inner)
+        cur.pos += 4
+        stmt: Statement = Necessity(_chain(cur))
     else:
         stmt = _chain(cur)
     cur.expect_kind(PERIOD, "'.'")
@@ -162,8 +160,7 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
         raise QuerySyntaxError("a necessity statement must stand on its own sentence", cur.peek().span)
     if _at_phrase(cur, "it", "is", "false", "that"):
         cur.descend()
-        for _ in range(4):
-            cur.take()
+        cur.pos += 4
         inner = _unit(cur, previous=None)
         cur.depth -= 1
         return NotStmt(inner)
@@ -181,68 +178,55 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
 
 
 def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
+    """A pattern or a basic statement.  A signature's subject is ``signature
+    of m``, ``m's signature``, or, in ``... and is not ["int"]``, the subject
+    of the signature before it."""
     if cur.at_word("object"):
         return _invocation(cur)
-    if cur.at_word("signature"):
-        return _signature(cur)
-    if cur.at_kind(POSSESSIVE, 1) and cur.at_word("signature", offset=2) and cur.at_kind(IDENT):
-        cur.pos += 3  # m 's signature
-        return _signature_rest(cur, cur.tokens[cur.pos - 3].text)
-    if cur.at_word("is"):
-        return _elliptical_signature(cur, previous)
     if cur.at_kind(IDENT) and cur.at_word("precedes", "follows", offset=1):
         return _ordering(cur)
-    return _basic(cur)
+    if cur.at_word("signature"):
+        cur.pos += 1
+        cur.expect_word("of")
+        method = cur.expect_kind(IDENT, "method name").text
+    elif cur.at_kind(POSSESSIVE, 1) and cur.at_word("signature", offset=2) and cur.at_kind(IDENT):
+        method = cur.peek().text
+        cur.pos += 3
+    elif cur.at_word("is"):
+        if not isinstance(previous, SignaturePattern):
+            raise cur.error("a statement subject")
+        method = previous.method_name
+    else:
+        return _basic(cur)
+    return _signature_rest(cur, method)
 
 
 def _invocation(cur: _Cursor) -> Statement:
-    cur.expect_word("object")
+    cur.pos += 1  # object
     cur.expect_word("of")
     # Any word before the verb names a class, one spelled like a keyword (``Signature``) too.
     keyword_spelled = cur.at_kind(WORD) and cur.at_word("invokes", "does", offset=1)
     class_name = cur.expect_kind(WORD if keyword_spelled else IDENT, "class name").text
-    if cur.at_word("invokes"):
-        cur.take()
-        positive = True
-    else:
-        cur.expect_word("does")
-        cur.expect_word("not")
-        cur.expect_word("invoke")
-        positive = False
-    method = _name(cur.expect_kind(IDENT, "method name"))
-    return InvocationPattern(class_name, method, positive)
+    positive = cur.at_word("invokes")
+    for word in ("invokes",) if positive else ("does", "not", "invoke"):
+        cur.expect_word(word)
+    return InvocationPattern(class_name, _name(cur.expect_kind(IDENT, "method name")), positive)
 
 
 def _ordering(cur: _Cursor) -> Statement:
-    left = cur.take().text
-    verb = cur.take().text.lower()
+    left, verb = cur.peek().text, cur.word(1)
+    cur.pos += 2
     right = cur.expect_kind(IDENT, "method name").text
-    if verb == "follows":
-        return OrderingPattern(before=right, after=left, direction="follows")
-    return OrderingPattern(before=left, after=right, direction="precedes")
-
-
-def _signature(cur: _Cursor) -> Statement:
-    cur.expect_word("signature")
-    cur.expect_word("of")
-    return _signature_rest(cur, cur.expect_kind(IDENT, "method name").text)
-
-
-def _elliptical_signature(cur: _Cursor, previous: Statement | None) -> Statement:
-    """``... and is not ["int", "Key"]`` re-uses the prior signature subject."""
-    if not isinstance(previous, SignaturePattern):
-        raise cur.error("a statement subject")
-    return _signature_rest(cur, previous.method_name)
+    before, after = (right, left) if verb == "follows" else (left, right)
+    return OrderingPattern(before, after, verb)
 
 
 def _signature_rest(cur: _Cursor, method: str) -> Statement:
     cur.expect_word("is")
-    positive = True
-    if cur.at_word("not"):
-        cur.take()
-        positive = False
-    items = _literal_list(cur, _type_name)
-    return SignaturePattern(method, tuple(i.value for i in items), positive)
+    positive = not cur.at_word("not")
+    if not positive:
+        cur.pos += 1
+    return SignaturePattern(method, tuple(i.value for i in _literal_list(cur, _type_name)), positive)
 
 
 def _type_name(cur: _Cursor, like: Literal | None = None) -> Literal:  # ``like`` goes unused: every type name is a string
@@ -261,12 +245,12 @@ def _basic(cur: _Cursor) -> Statement:
     if cur.at_word("in"):
         cur.take()
         items = _literal_list(cur)
-        return Basic(_require_non_literal(lhs, first), LiteralList(items), negation is not None)
+        return Basic(_require_non_literal(first, lhs), LiteralList(items), negation is not None)
     noun = _type_noun(cur)
     if noun is not None:
         if negation is not None:
             raise QuerySyntaxError("type assumptions cannot be negated", negation.span)
-        return Basic(_require_non_literal(lhs, first), TypeAssumption(noun))
+        return Basic(_require_non_literal(first, lhs), TypeAssumption(noun))
     rhs = _exp(cur, lhs)
     # Symmetric equality: "RSA" is the algorithm of .. stores the expression
     # on the left and the literal on the right.
@@ -275,27 +259,20 @@ def _basic(cur: _Cursor) -> Statement:
     return Basic(lhs, rhs, negation is not None)
 
 
-def _require_non_literal(lhs: Exp, first: Token) -> Exp:
+def _require_non_literal(first: Token, lhs: Exp) -> Exp:
     """``first`` is the subject's first token, where the error points."""
     if isinstance(lhs, Literal):
         raise QuerySyntaxError("a literal cannot be the subject here", first.span)
     return lhs
 
 
-def _of_subject(cur: _Cursor) -> Exp:  # what an attribute is of: a literal has no attributes
-    first = cur.peek()
-    return _require_non_literal(_exp(cur), first)
-
-
 def _type_noun(cur: _Cursor) -> str | None:
     for words, noun in TYPE_NOUNS.items():
         if _at_phrase(cur, *words):
             # "method access" must not swallow an attribute use of "method".
-            if cur.peek(len(words)).kind in (None, PERIOD, COMMA) or cur.at_word(
-                "and", "or", "then", offset=len(words)
-            ):
-                for _ in words:
-                    cur.take()
+            n = len(words)
+            if cur.peek(n).kind in (None, PERIOD, COMMA) or cur.at_word("and", "or", "then", offset=n):
+                cur.pos += n
                 return noun
     return None
 
@@ -333,33 +310,24 @@ def _exp(cur: _Cursor, like: Exp | None = None) -> Exp:  # ``like`` as for ``_li
     tok = cur.peek()
     if tok.kind in (STRING, INT):
         return _literal(cur, like)
-    if tok.kind is ORDINAL:
+    word = cur.word()
+    # Adjective position: word before "attribute of" must be an ordinal.
+    if word and cur.word(1) not in ("", "of") and cur.at_word("of", offset=2):
+        raise UnknownOrdinal(tok.text, tok.span)
+    if tok.kind is ORDINAL or word and cur.at_word("of", offset=1):  # [ordinal] W of X
         cur.descend()
-        cur.take()
-        value = ORDINALS[tok.text.lower()]
+        value = ORDINALS[cur.take().text.lower()] if tok.kind is ORDINAL else None
         attr = cur.word()
         if not attr:
             raise cur.error("attribute word")
-        cur.take()
+        cur.pos += 1
         cur.expect_word("of")
-        inner = _of_subject(cur)
+        inner = _require_non_literal(cur.peek(), _exp(cur))  # a literal has no attributes
         cur.depth -= 1
         return Prefixed(attr, value, inner)
-    word = cur.word()
-    if word:
-        # Adjective position: word before "attribute of" must be an ordinal.
-        if cur.word(1) not in ("", "of") and cur.at_word("of", offset=2):
-            raise UnknownOrdinal(tok.text, tok.span)
-        if cur.at_word("of", offset=1):
-            cur.descend()
-            cur.take()
-            cur.take()  # of
-            inner = _of_subject(cur)
-            cur.depth -= 1
-            return Prefixed(word, None, inner)
-        if tok.kind is IDENT:
-            cur.take()
-            return _possessives(cur, Ident(_name(tok)))
+    if tok.kind is IDENT:
+        cur.take()
+        return _possessives(cur, Ident(_name(tok)))
     if tok.kind is POSSESSIVE:
         raise IllegalCharacter(_NO_POSSESSOR, tok.span)
     raise cur.error("an expression")

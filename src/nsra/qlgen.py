@@ -57,6 +57,14 @@ def escape_string(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def unescape_string(body: str) -> str:
+    """The value of a QL string literal whose text between the quotes is ``body``: ``escape_string`` undone."""
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
 def _value_text(e: QlExpr) -> str:
     if isinstance(e, Lit):
         if isinstance(e.value, int):
@@ -177,7 +185,6 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
 # ``lex_ql`` rejects: an unterminated comment, taken to the end of the text so
 # that the scan stays linear, or any other single character.
 _QL_TOKEN = re.compile(r'//[^\n]*|/\*.*?\*/|("[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d]\w*|/\*.*|\S)', re.DOTALL)
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # Inside string literals, a lone space between identifier-ish capitals is a
 # lost underscore (API constants never contain spaces).
@@ -370,7 +377,7 @@ class QlReader:
             return Count(inner)
         if tok[:1] == '"':
             body = self.literal(tok)[1:-1]
-            return Lit(_ESCAPE.sub(r"\1", body) if "\\" in body else body)
+            return Lit(unescape_string(body))
         if tok[:1].isdecimal():
             return Lit(int(tok))
         if not _is_ident(tok):

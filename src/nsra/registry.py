@@ -24,7 +24,7 @@ from .errors import (
     TOO_LONG_INTEGER, BadTemplate, ConfigParseError, DuplicateAttribute, Record, Span, UnknownAttribute
 )
 from .lexer import TYPE_NOUNS, _is_attribute_word
-from .qlgen import _ESCAPE, _QL_TOKEN, _is_ident, _token_span, escape_string
+from .qlgen import _QL_TOKEN, _is_ident, _token_span, escape_string, unescape_string
 
 # Call names whose result is directly comparable to a string literal.
 _STRING_RESULTS = frozenset({"toString", "getName", "replaceAll", "splitAt"})
@@ -198,8 +198,7 @@ def _read_template(word: str, text: str, start: int, end: int) -> AttributeRule:
                 slot, tok = (len(steps), len(f"{name}({', '.join([*args, ''])}")), ""  # where the ordinal goes
                 i += 1
             elif tok[:1] == '"' and len(tok) > 1:
-                body = tok[1:-1]
-                tok = '"' + escape_string(_ESCAPE.sub(r"\1", body) if "\\" in body else body) + '"'
+                tok = '"' + escape_string(unescape_string(tok[1:-1])) + '"'
             elif tok[:1].isdecimal():
                 try:
                     tok = str(int(tok))

@@ -471,6 +471,31 @@ def test_query_that_is_not_utf8_is_an_error_not_a_traceback(workdir, capsys, com
     assert capsys.readouterr().err == message.removeprefix(prefix)
 
 
+def test_a_utf8_byte_order_mark_is_skipped(workdir, capsys):
+    """Windows Notepad starts a UTF-8 file with a byte-order mark; each kind of
+    input file reads as if it had none."""
+
+    def with_bom(name, text):
+        path = workdir / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return str(path)
+
+    query, golden = str(GOLDEN / "task1.nsra"), str(GOLDEN / "task1.ql")
+    bom_golden = with_bom("task1.ql", golden_text("task1.ql"))
+    assert run(["compile", with_bom("task1.nsra", golden_text("task1.nsra"))]) == 0
+    assert capsys.readouterr() == (nsra.compile_text(golden_text("task1.nsra")), "")
+    assert run(["check", query, "--golden", bom_golden]) == 0
+    assert capsys.readouterr() == (f"{query}: matches {bom_golden}\n", "")
+    assert run(["metrics", query, "--ql", golden]) == 0
+    plain = capsys.readouterr().out
+    assert run(["metrics", query, "--ql", bom_golden]) == 0
+    assert capsys.readouterr() == (plain, "")
+    profile = with_bom("p.profile", "receiver = getReceiverType()")
+    receiver_query = write(workdir / "r.nsra", 'An object of Cipher invokes init. the receiver of init is "Cipher".')
+    assert run(["compile", receiver_query, "--profile", profile]) == 0
+    assert "init.getReceiverType()" in capsys.readouterr().out
+
+
 def test_output_into_a_missing_directory_is_an_error_not_a_traceback(workdir, capsys):
     out = workdir / "nodir" / "x.ql"
     assert run(["compile", str(GOLDEN / "task1.nsra"), "-o", str(out)]) == 1

@@ -170,6 +170,23 @@ def test_rule_key_with_whitespace_is_not_a_word(key):
     assert _is_attribute_word("name") and not _is_attribute_word(key)
 
 
+def test_each_structure_word_has_one_role_and_none_is_an_attribute_word():
+    """``STRUCTURE_WORDS`` is the union of the word-role tables and the words that have no other role."""
+    lex = nsra.lexer
+    assert lex.STRUCTURE_WORDS == {
+        "a", "an", "the",  # articles
+        "is", "invokes", "invoke", "does", "precedes", "follows", "and", "or", "then", "in",  # article stoppers
+        "object", "signature", "if",  # openers
+        "variable", "class", "method", "access",  # type nouns
+        "of", "not", "it", "false", "necessary", "that",
+    }
+    type_noun_words = {word for words in lex.TYPE_NOUNS for word in words}
+    roles = [lex.ARTICLES, lex._ARTICLE_STOPPERS - lex._CONTRACTIONS.keys(), lex._OPENERS, type_noun_words]
+    assert sum(map(len, roles)) == len(set().union(*roles))  # no word in two roles
+    for word in (*lex.ARTICLES, *lex._ARTICLE_STOPPERS, *lex._OPENERS, *lex.ORDINALS):
+        assert not _is_attribute_word(word) and not _is_attribute_word(word.capitalize()), word
+
+
 # --- normalize ---------------------------------------------------------------
 
 

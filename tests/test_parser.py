@@ -495,6 +495,14 @@ def test_empty_signature_and_empty_query_rejected():
         ('"a" is 1.', "a string cannot be compared with an integer", 7),
         ('x is in [1, "a"].', "a string cannot be compared with an integer", 12),
         ('x is not in ["a", "b", 2].', "a string cannot be compared with an integer", 23),
+        # Each way into a construct that one parser branch reads: a signature's subject, an ordering's
+        # right name, and ``W of X`` with or without an ordinal.
+        ('signature m is ["a"].', "unexpected 'm' (expected of)", 10),
+        ('signature of "m" is ["a"].', "unexpected 'm' (expected method name)", 13),
+        ("An object of C invokes m. m's signature is [1].", "signature lists hold type names as strings", 44),
+        ("x precedes 1.", "unexpected '1' (expected method name)", 11),
+        ("the first of x is 1.", "unexpected 'x' (expected of)", 13),
+        ('x is a variable. the name of 1 is "a".', "a literal cannot be the subject here", 29),
     ],
 )
 def test_syntax_error_branches(text, message, at):
