@@ -133,10 +133,10 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
             if not isinstance(stmt.lhs, ast.Ident):
                 raise UndeclaredSubject(ast.exp_to_text(stmt.lhs))
             add(Decl(stmt.lhs.name, _ql_type(stmt.rhs.noun, reg)))
-        elif isinstance(stmt, (ast.AndStmt, ast.OrStmt)):
+        elif isinstance(stmt, (And, Or)):
             for item in stmt.items:
                 walk(item)
-        elif isinstance(stmt, (ast.NotStmt, ast.Necessity)):
+        elif isinstance(stmt, (Not, ast.Necessity)):
             walk(stmt.inner)
         elif isinstance(stmt, ast.IfStmt):
             walk(stmt.cond)
@@ -156,10 +156,9 @@ def _ql_type(noun: str, reg: Registry) -> str:  # the QL class the profile's ``[
 def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str]) -> BoolExpr:
     if isinstance(stmt, ast.Basic):
         return _lower_basic(stmt, reg, declared)
-    if isinstance(stmt, (ast.AndStmt, ast.OrStmt)):
-        group = And if isinstance(stmt, ast.AndStmt) else Or
-        return group(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
-    if isinstance(stmt, ast.NotStmt):
+    if isinstance(stmt, (And, Or)):
+        return type(stmt)(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
+    if isinstance(stmt, Not):
         return Not(_lower_statement(stmt.inner, reg, declared))
     if isinstance(stmt, ast.IfStmt):
         return desugar_implication(

@@ -28,7 +28,7 @@ from collections import Counter
 from .errors import Record, SourceError
 from .lexer import ARTICLES, IDENT, INT, ORDINAL, STRING, WORD, TokenKind, tokenize
 from .lexer import _CONTRACTIONS, _SCANNER, _article_drops, _classify
-from .qlgen import QL_KEYWORDS, QlReader
+from .qlgen import QlReader, _is_ident
 from .registry import Registry, builtin_crypto_profile
 
 
@@ -159,7 +159,7 @@ def halstead_ql(ql_text: str) -> HalsteadCounts:
         elif tok[0].isdecimal():
             value = int(tok)
             operands[value] = operands.get(value, 0) + uses
-        elif tok in QL_KEYWORDS or not (tok[0].isalpha() or tok[0] == "_"):
+        elif not _is_ident(tok):  # a keyword or punctuation
             operators[tok] = uses
         else:  # an identifier: an operator where it names a called method
             if calls[tok]:

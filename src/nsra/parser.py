@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import EmptyList, IllegalCharacter, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
+from .ir import And, Not, Or
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, POSSESSIVE, STRING, WORD, Token
 from .lexer import ORDINALS, TYPE_NOUNS, TokenKind, normalize, tokenize
 from .syntax import (
-    AndStmt,
     Basic,
     Exp,
     Ident,
@@ -26,9 +26,7 @@ from .syntax import (
     Literal,
     LiteralList,
     Necessity,
-    NotStmt,
     OrderingPattern,
-    OrStmt,
     Prefixed,
     QueryAst,
     SignaturePattern,
@@ -138,14 +136,14 @@ def _at_phrase(cur: _Cursor, *words: str) -> bool:
     return cur.words[cur.pos : cur.pos + len(words)] == [*words]
 
 
-def _chain(cur: _Cursor, group: type[AndStmt | OrStmt] = OrStmt) -> Statement:
+def _chain(cur: _Cursor, group: type[And | Or] = Or) -> Statement:
     """Operands joined by ``or``, each an and-chain, or by ``and``, each a unit.
     A unit sees the unit before it, for ``... and is not [...]``."""
-    word = "or" if group is OrStmt else "and"
-    items = [_chain(cur, AndStmt) if group is OrStmt else _unit(cur, None)]
+    word = "or" if group is Or else "and"
+    items = [_chain(cur, And) if group is Or else _unit(cur, None)]
     while cur.words[cur.pos] == word:  # ``cur.at_word(word)`` without the call, as each sentence reads two chains
         cur.take()
-        items.append(_chain(cur, AndStmt) if group is OrStmt else _unit(cur, items[-1]))
+        items.append(_chain(cur, And) if group is Or else _unit(cur, items[-1]))
     return items[0] if len(items) == 1 else group(tuple(items))
 
 
@@ -163,7 +161,7 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
         cur.pos += 4
         inner = _unit(cur, previous=None)
         cur.depth -= 1
-        return NotStmt(inner)
+        return Not(inner)
     if cur.at_word("if"):
         cur.descend()
         cur.take()
@@ -171,7 +169,7 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
         if cur.at_kind(COMMA):  # tolerated before "then"
             cur.take()
         cur.expect_word("then")
-        then = _chain(cur, AndStmt)
+        then = _chain(cur, And)
         cur.depth -= 1
         return IfStmt(cond, then)
     return _simple(cur, previous)
@@ -217,8 +215,7 @@ def _ordering(cur: _Cursor) -> Statement:
     left, verb = cur.peek().text, cur.word(1)
     cur.pos += 2
     right = cur.expect_kind(IDENT, "method name").text
-    before, after = (right, left) if verb == "follows" else (left, right)
-    return OrderingPattern(before, after, verb)
+    return OrderingPattern(right, left) if verb == "follows" else OrderingPattern(left, right)
 
 
 def _signature_rest(cur: _Cursor, method: str) -> Statement:

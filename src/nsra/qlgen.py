@@ -44,7 +44,7 @@ from .ir import (
     Var,
 )
 
-# The words the reader reads as keywords, so a QL variable cannot be named by one.
+# The words the reader reads as keywords, so no name it reads is one of them.
 QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
 
 _INDENT = "  "  # continuation lines of a wrapped clause
@@ -195,8 +195,8 @@ def _restore_underscores(tok: str) -> str:
     return _UNDERSCORE_FIX.sub("_", tok) if " " in tok else tok
 
 
-def _is_ident(tok: str) -> bool:
-    return tok[:1].isalpha() or tok[:1] == "_"
+def _is_ident(tok: str) -> bool:  # a name: a word that is no keyword
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in QL_KEYWORDS
 
 
 def _is_value(tok: str) -> bool:  # a select item: an identifier or an integer
@@ -215,7 +215,7 @@ def _lexes(tok: str) -> bool:
             return int(tok) >= 0  # true once ``int`` reads the digits
         except ValueError:
             return False
-    return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in ".,()[]|=<"
+    return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in QL_KEYWORDS or tok in ".,()[]|=<"
 
 
 def _token_span(text: str, index: int, start: int = 0, end: int | None = None) -> Span:
@@ -279,7 +279,7 @@ class QlReader:
         return tok[1:-1] if tok[:1] == '"' else tok or "end"
 
     def expect(self, text: str | None = None) -> str:
-        """Take the next token, which must be ``text``, by default any identifier."""
+        """Take the next token, which must be ``text``, by default any name (``_is_ident``)."""
         tok = self.tokens[self.pos]
         if tok != text if text else not _is_ident(tok):
             raise self.error(f"expected {text or 'ident'}, found {self.shown(tok)!r}")

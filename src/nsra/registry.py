@@ -40,7 +40,6 @@ class AttributeRule(Record):
     or None.  ``result_kind`` is "string" or "object"."""
 
     __slots__ = ("steps", "result_kind", "slot")
-    _defaults = (None,)
 
     @property
     def has_ordinal_slot(self) -> bool:

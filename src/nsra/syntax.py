@@ -7,6 +7,7 @@ is ``Prefixed("type", None, Prefixed("argument", 2, Ident("init")))``.
 from __future__ import annotations
 
 from .errors import Record
+from .ir import And, Not, Or
 from .lexer import ORDINAL_WORDS
 
 
@@ -54,18 +55,6 @@ class Basic(Record):
     _defaults = (False,)
 
 
-class AndStmt(Record):
-    __slots__ = ("items",)
-
-
-class OrStmt(Record):
-    __slots__ = ("items",)
-
-
-class NotStmt(Record):
-    __slots__ = ("inner",)
-
-
 class IfStmt(Record):
     __slots__ = ("cond", "then")
 
@@ -76,24 +65,20 @@ class Necessity(Record):
 
 class InvocationPattern(Record):
     __slots__ = ("class_name", "method_name", "positive")
-    _defaults = (True,)
 
 
 class OrderingPattern(Record):
-    """``direction`` is the surface verb: precedes or follows."""
+    """``before precedes after``, which ``after follows before`` also reads as."""
 
-    __slots__ = ("before", "after", "direction")
-    _defaults = ("precedes",)
+    __slots__ = ("before", "after")
 
 
 class SignaturePattern(Record):
     __slots__ = ("method_name", "type_names", "positive")
-    _defaults = (True,)
 
 
-Statement = (
-    Basic | AndStmt | OrStmt | NotStmt | IfStmt | Necessity | InvocationPattern | OrderingPattern | SignaturePattern
-)
+# ``and``, ``or`` and ``it is false that`` build the IR's connectives over statements.
+Statement = Basic | And | Or | Not | IfStmt | Necessity | InvocationPattern | OrderingPattern | SignaturePattern
 
 
 class QueryAst(Record):
@@ -135,9 +120,9 @@ def statement_to_text(s: Statement) -> str:
         if isinstance(s.rhs, LiteralList):
             return f"{exp_to_text(s.lhs)} {verb} in {_list_to_text(s.rhs.items)}"
         return f"{exp_to_text(s.lhs)} {verb} {exp_to_text(s.rhs)}"
-    if isinstance(s, (AndStmt, OrStmt)):
-        return (" and " if isinstance(s, AndStmt) else " or ").join(statement_to_text(i) for i in s.items)
-    if isinstance(s, NotStmt):
+    if isinstance(s, (And, Or)):
+        return (" and " if isinstance(s, And) else " or ").join(statement_to_text(i) for i in s.items)
+    if isinstance(s, Not):
         return f"it is false that {statement_to_text(s.inner)}"
     if isinstance(s, IfStmt):
         return f"if {statement_to_text(s.cond)} then {statement_to_text(s.then)}"
@@ -147,8 +132,6 @@ def statement_to_text(s: Statement) -> str:
         verb = "invokes" if s.positive else "does not invoke"
         return f"An object of {s.class_name} {verb} {s.method_name}"
     if isinstance(s, OrderingPattern):
-        if s.direction == "follows":
-            return f"{s.after} follows {s.before}"
         return f"{s.before} precedes {s.after}"
     if isinstance(s, SignaturePattern):
         verb = "is" if s.positive else "is not"

@@ -22,7 +22,6 @@ from nsra.lowering import lower
 from nsra.parser import MAX_NESTING, QL_RESERVED_WORDS, parse_text
 from nsra.qlgen import normalize_ql, read_query_text, render
 from nsra.syntax import (
-    AndStmt,
     Basic,
     Ident,
     IfStmt,
@@ -30,9 +29,7 @@ from nsra.syntax import (
     Literal,
     LiteralList,
     Necessity,
-    NotStmt,
     OrderingPattern,
-    OrStmt,
     Prefixed,
     QueryAst,
     SignaturePattern,
@@ -90,15 +87,20 @@ def test_invocation_without_class_or_verb_is_error(text, message, start):
 
 
 def test_ordering_precedes():
-    assert single("getInstance precedes init.") == OrderingPattern(
-        "getInstance", "init", "precedes"
-    )
+    assert single("getInstance precedes init.") == OrderingPattern("getInstance", "init")
 
 
 def test_ordering_follows_swaps():
     stmt = single("init follows getInstance.")
-    assert stmt == OrderingPattern("getInstance", "init", "follows")
+    assert stmt == OrderingPattern("getInstance", "init")
     assert (stmt.before, stmt.after) == ("getInstance", "init")
+
+
+def test_the_two_ordering_verbs_give_one_parse_tree():
+    follows = parse_text("init follows getInstance.")
+    assert parse_text("getInstance precedes init.") == follows
+    assert query_to_text(follows) == "getInstance precedes init."
+    assert parse_text(query_to_text(follows)) == follows
 
 
 def test_type_assumption():
@@ -180,7 +182,7 @@ def test_errors_come_in_text_order():
 
 def test_it_is_false_that():
     stmt = single('It is false that a is "x".')
-    assert stmt == NotStmt(Basic(Ident("a"), Literal("x")))
+    assert stmt == Not(Basic(Ident("a"), Literal("x")))
 
 
 def test_if_then():
@@ -208,35 +210,35 @@ def test_necessity_cannot_nest():
 
 def test_and_binds_tighter_than_or():
     stmt = single('a is "1" and b is "2" or c is "3".')
-    assert isinstance(stmt, OrStmt)
-    assert isinstance(stmt.items[0], AndStmt)
+    assert isinstance(stmt, Or)
+    assert isinstance(stmt.items[0], And)
     assert isinstance(stmt.items[1], Basic)
 
 
 def test_false_that_binds_one_unit():
     stmt = single('It is false that a is "1" and b is "2".')
-    assert isinstance(stmt, AndStmt)
-    assert isinstance(stmt.items[0], NotStmt)
+    assert isinstance(stmt, And)
+    assert isinstance(stmt.items[0], Not)
 
 
 def test_false_that_captures_if_then():
     stmt = single('It is false that if a is "1" then b is "2" or it is false that c is "3".')
-    assert isinstance(stmt, OrStmt)
-    assert isinstance(stmt.items[0], NotStmt)
+    assert isinstance(stmt, Or)
+    assert isinstance(stmt.items[0], Not)
     assert isinstance(stmt.items[0].inner, IfStmt)
-    assert isinstance(stmt.items[1], NotStmt)
+    assert isinstance(stmt.items[1], Not)
 
 
 def test_if_condition_takes_or_chain():
     stmt = single('if a is "1" or b is "2" then c is "3".')
     assert isinstance(stmt, IfStmt)
-    assert isinstance(stmt.cond, OrStmt)
+    assert isinstance(stmt.cond, Or)
 
 
 def test_then_branch_takes_and_chain():
     stmt = single('if a is "1" then b is "2" and c is "3".')
     assert isinstance(stmt, IfStmt)
-    assert isinstance(stmt.then, AndStmt)
+    assert isinstance(stmt.then, And)
 
 
 def test_signature_pattern():
@@ -248,7 +250,7 @@ def test_signature_negative_with_ellipsis():
     stmt = single(
         "getInstance's signature is not [\"int\"] and is not [\"int\", \"Key\"]."
     )
-    assert stmt == AndStmt(
+    assert stmt == And(
         (
             SignaturePattern("getInstance", ("int",), False),
             SignaturePattern("getInstance", ("int", "Key"), False),
@@ -429,15 +431,13 @@ def test_round_trip_on_generated_queries():
 
 
 def test_nodes_compare_by_type_and_fields():
-    stmt = InvocationPattern("Cipher", "init")
+    stmt = InvocationPattern("Cipher", "init", True)
     assert Literal("x") != Ident("x")
-    assert AndStmt((stmt,)) != OrStmt((stmt,))
-    assert AndStmt((stmt,)) == AndStmt((InvocationPattern("Cipher", "init", True),))
+    assert And((stmt,)) != Or((stmt,))
+    assert And((stmt,)) == And((InvocationPattern("Cipher", "init", True),))
     assert hash(Prefixed("type", None, Ident("k"))) == hash(Prefixed("type", None, Ident("k")))
     assert {Literal("x"): 1, Ident("x"): 2}[Ident("x")] == 2
-    assert OrderingPattern(before="init", after="doFinal", direction="follows") == OrderingPattern(
-        "init", "doFinal", "follows"
-    )
+    assert OrderingPattern(before="init", after="doFinal") == OrderingPattern("init", "doFinal")
     assert repr(Prefixed("argument", 2, Ident("init"))) == (
         "Prefixed(attribute='argument', ordinal=2, inner=Ident(name='init'))"
     )
@@ -536,7 +536,7 @@ def test_ql_keywords_cannot_be_names(keyword, template):
 
 def test_ql_keywords_may_name_classes_and_differ_in_case():
     assert parse_text("An object of exists invokes init. Count is a variable.") == QueryAst(
-        (InvocationPattern("exists", "init"), Basic(Ident("Count"), TypeAssumption("variable")))
+        (InvocationPattern("exists", "init", True), Basic(Ident("Count"), TypeAssumption("variable")))
     )
 
 

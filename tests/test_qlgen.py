@@ -28,6 +28,7 @@ from nsra.ir import (
 )
 from nsra.metrics import halstead_ql
 from nsra.qlgen import (
+    QL_KEYWORDS,
     _QL_TOKEN,
     _wrap,
     lex_ql,
@@ -311,6 +312,27 @@ def test_errors_quote_a_string_as_written(text, message):
         with pytest.raises(QlLexError) as info:
             read(text)
         assert info.value.message == message
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ("from MethodAccess where select where", "expected ident, found 'where'", 18),  # a declared name
+        ("from not x select x", "expected ident, found 'not'", 5),  # a declared type
+        ("from T x where exists (from y | y = 1) select x", "expected ident, found 'from'", 23),
+        ("from T x select x, count", "unexpected 'count' in select list", 19),
+        ("from T x where where = 1 select x", "unexpected 'where' in value position", 15),  # a chain base
+        ("from T x where x.and() = 1 select x", "expected ident, found 'and'", 17),  # a call name
+        ("import or\nselect 1", "expected ident, found 'or'", 7),
+    ],
+)
+def test_no_keyword_is_read_as_a_name(text, message, at):
+    for read in (normalize_ql, read_query_text):
+        with pytest.raises(QlLexError) as info:
+            read(text)
+        assert (info.value.message, info.value.span.start) == (message, at)
+    keyword = message.split("'")[1]
+    assert keyword in QL_KEYWORDS and keyword in lex_ql(text)  # a keyword still lexes as its token
 
 
 def test_single_commas_still_read():

@@ -148,7 +148,7 @@ def test_rule_without_steps_rejected():
 
 
 def test_rules_compare_by_fields():
-    rule = AttributeRule(steps=("getName()",), result_kind="string")
+    rule = AttributeRule(steps=("getName()",), result_kind="string", slot=None)
     assert rule == lookup_attribute("name", builtin_crypto_profile())
     assert hash(rule) == hash(AttributeRule(("getName()",), "string", None))
     assert rule != AttributeRule(("getName()",), "string", (0, 8))
@@ -285,6 +285,7 @@ def error_at(text: str) -> tuple[str, str]:
         ("f(/* a comment */ 1)", "unexpected '/' in template", 2, "/"),
         ("f().", "expected a call name in template for 'x'", 4, ""),
         ("1f()", "expected a call name in template for 'x'", 0, "1"),
+        ("getName().count()", "expected a call name in template for 'x'", 10, "count"),  # a QL keyword
         ("f() g()", "expected '.' between calls, found 'g'", 4, "g"),
         ("f", "call 'f' needs parentheses", 1, ""),
         ('f("abc', "unterminated string in template", 2, '"'),
