@@ -12,31 +12,28 @@ TOO_LONG_INTEGER = f"integer literal of more than {sys.get_int_max_str_digits()}
 
 
 @functools.cache
-def _initializer(names: tuple[str, ...], defaults: tuple, types: tuple[type, ...]) -> object:
-    """An ``__init__`` storing its arguments in the fields ``names``, the last
-    ``len(defaults)`` optional, built from source as ``dataclasses`` builds its
-    methods.  ``types`` only keys the cache: ``True == 1``, but not as a default."""
+def _initializer(names: tuple[str, ...]) -> object:
+    """An ``__init__`` storing its arguments in the fields ``names``, built
+    from source as ``dataclasses`` builds its methods."""
     scope: dict = {}
     stores = "; ".join(f"self.{name} = {name}" for name in names) or "pass"
     exec(f"def __init__({', '.join(('self', *names))}): {stores}", {}, scope)
-    scope["__init__"].__defaults__ = defaults
     return scope["__init__"]
 
 
 class Record:
     """Base of the compiler's value classes.  A subclass lists its fields in
-    ``__slots__``, and defaults for the last of them in ``_defaults``; unless it
-    writes its own ``__init__``, it gets one taking the fields by position or by
-    name.  Records are equal when they are of the same class and their fields
-    are equal, hash by their fields, and print as ``Name(field=value, ...)``."""
+    ``__slots__``; unless it writes its own ``__init__``, it gets one taking
+    every field by position or by name.  Records are equal when they are of
+    the same class and their fields are equal, hash by their fields, and
+    print as ``Name(field=value, ...)``."""
 
     __slots__ = ()
-    _defaults: tuple = ()
 
     def __init_subclass__(cls):
         names = cls.__slots__
         if "__init__" not in cls.__dict__:
-            cls.__init__ = _initializer(names, cls._defaults, tuple(map(type, cls._defaults)))
+            cls.__init__ = _initializer(names)
         # ``_values(record)`` is the tuple of its fields: for two fields or
         # more one C call, since ``attrgetter`` of one name returns the bare
         # value and of none fails.

@@ -110,6 +110,11 @@ def disjoin(items: list[BoolExpr]) -> BoolExpr:
     return Or(tuple(items))
 
 
+def desugar_implication(p: BoolExpr, q: BoolExpr) -> BoolExpr:
+    """``if p then q`` as a plain condition: not p, or q."""
+    return Or((Not(p), q))
+
+
 def _push_pays(group: And | Or) -> bool:
     """Whether negating ``group`` by De Morgan strictly drops the negation
     count, i.e. its negated children outweigh the plain ones."""

@@ -40,11 +40,6 @@ from .ir import (
 from .registry import Registry, lookup_attribute
 
 
-def desugar_implication(p: BoolExpr, q: BoolExpr) -> BoolExpr:
-    """``if p then q`` as a plain condition: not p, or q."""
-    return Or((Not(p), q))
-
-
 def apply_necessity(constraints: list[BoolExpr]) -> BoolExpr:
     """A query flags violations: some mandatory constraint must be false."""
     return disjoin([Not(c) for c in constraints])
@@ -138,9 +133,6 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
                 walk(item)
         elif isinstance(stmt, (Not, ast.Necessity)):
             walk(stmt.inner)
-        elif isinstance(stmt, ast.IfStmt):
-            walk(stmt.cond)
-            walk(stmt.then)
 
     for stmt in query.statements:
         walk(stmt)
@@ -160,11 +152,6 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         return type(stmt)(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
     if isinstance(stmt, Not):
         return Not(_lower_statement(stmt.inner, reg, declared))
-    if isinstance(stmt, ast.IfStmt):
-        return desugar_implication(
-            _lower_statement(stmt.cond, reg, declared),
-            _lower_statement(stmt.then, reg, declared),
-        )
     if isinstance(stmt, ast.InvocationPattern):
         # A positive invocation's subject is declared by ``_collect_decls``; a
         # negative one binds it in an existential.
@@ -194,13 +181,12 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         )
     if isinstance(stmt, ast.SignaturePattern):
         # The argument count equals the list length, then one type check per
-        # slot; the negative form negates the whole conjunction.
+        # slot.
         subject = _var(stmt.method_name, declared)
         checks = [Eq(Count(Chain(subject, ("getAnArgument()",))), Lit(len(stmt.type_names)))]
         for i, type_name in enumerate(stmt.type_names):
             checks.append(Eq(Chain(subject, (f"getArgument({i})", "getType()", "toString()")), Lit(type_name)))
-        cond = And(tuple(checks))
-        return cond if stmt.positive else Not(cond)
+        return And(tuple(checks))
     raise TypeError(f"cannot lower {stmt!r}")
 
 
@@ -224,7 +210,5 @@ def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> Bo
     if isinstance(stmt.lhs, ast.Prefixed) and stmt.lhs.attribute == "type":  # a simple type name, by its alias
         rhs = [Lit(reg.resolve_alias(i.value)) if isinstance(i, Lit) and isinstance(i.value, str) else i for i in rhs]
     if len(rhs) > 1:
-        cond = expand_membership(lhs, rhs)
-    else:
-        cond = TRUE if lhs == rhs[0] == TRUE_OPERAND else Eq(lhs, rhs[0])
-    return Not(cond) if stmt.negated else cond
+        return expand_membership(lhs, rhs)
+    return TRUE if lhs == rhs[0] == TRUE_OPERAND else Eq(lhs, rhs[0])

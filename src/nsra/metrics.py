@@ -90,7 +90,8 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
     attribute words (an identifier whose case-folded text names a registry
     rule, the same lookup the parser makes), valued case-folded.  Classes
     ``"id"``, ``"str"`` and ``"int"`` are user terminals, valued as written,
-    as is the class ``X`` of ``object of X invokes``, whatever word it is.
+    as are the class ``X`` of ``object of X invokes``, whatever word it is,
+    and an article kept as a name.
     Punctuation is classed by its token kind's name.  Each distinct source
     text is classified once, and no token is built but to locate an error.
     """
@@ -121,7 +122,7 @@ def nsra_terms(query_text: str, registry: Registry | None = None) -> list[tuple[
                 terms[-1] = ("id", values[i - 1])
             terms += [("op", word) for word in _CONTRACTIONS.get(folded, (folded,))]
         elif i + 1 == len(values) or not _article_drops(*classes[values[i + 1]][:2]):  # an article kept as a name
-            terms.append(("op", folded) if folded in rules else ("id", value))
+            terms.append(("id", value))
     return terms
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import EmptyList, IllegalCharacter, NestingTooDeep, QuerySyntaxError, Span, UnknownOrdinal
-from .ir import And, Not, Or
+from .ir import And, Not, Or, desugar_implication
 from .lexer import COMMA, IDENT, INT, LIST_CLOSE, LIST_OPEN, ORDINAL, PERIOD, POSSESSIVE, STRING, WORD, Token
 from .lexer import ORDINALS, TYPE_NOUNS, TokenKind, normalize, tokenize
 from .syntax import (
     Basic,
     Exp,
     Ident,
-    IfStmt,
     InvocationPattern,
     Literal,
     LiteralList,
@@ -171,14 +170,14 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
         cur.expect_word("then")
         then = _chain(cur, And)
         cur.depth -= 1
-        return IfStmt(cond, then)
+        return desugar_implication(cond, then)
     return _simple(cur, previous)
 
 
 def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
     """A pattern or a basic statement.  A signature's subject is ``signature
     of m``, ``m's signature``, or, in ``... and is not ["int"]``, the subject
-    of the signature before it."""
+    of the signature before it, negated or not."""
     if cur.at_word("object"):
         return _invocation(cur)
     if cur.at_kind(IDENT) and cur.at_word("precedes", "follows", offset=1):
@@ -191,6 +190,8 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
         method = cur.peek().text
         cur.pos += 3
     elif cur.at_word("is"):
+        if isinstance(previous, Not):
+            previous = previous.inner
         if not isinstance(previous, SignaturePattern):
             raise cur.error("a statement subject")
         method = previous.method_name
@@ -220,10 +221,9 @@ def _ordering(cur: _Cursor) -> Statement:
 
 def _signature_rest(cur: _Cursor, method: str) -> Statement:
     cur.expect_word("is")
-    positive = not cur.at_word("not")
-    if not positive:
-        cur.pos += 1
-    return SignaturePattern(method, tuple(i.value for i in _literal_list(cur, _type_name)), positive)
+    negation = cur.take() if cur.at_word("not") else None
+    pattern = SignaturePattern(method, tuple(i.value for i in _literal_list(cur, _type_name)))
+    return pattern if negation is None else Not(pattern)
 
 
 def _type_name(cur: _Cursor, like: Literal | None = None) -> Literal:  # ``like`` goes unused: every type name is a string
@@ -242,18 +242,19 @@ def _basic(cur: _Cursor) -> Statement:
     if cur.at_word("in"):
         cur.take()
         items = _literal_list(cur)
-        return Basic(_require_non_literal(first, lhs), LiteralList(items), negation is not None)
-    noun = _type_noun(cur)
-    if noun is not None:
+        stmt = Basic(_require_non_literal(first, lhs), LiteralList(items))
+    elif (noun := _type_noun(cur)) is not None:
         if negation is not None:
             raise QuerySyntaxError("type assumptions cannot be negated", negation.span)
         return Basic(_require_non_literal(first, lhs), TypeAssumption(noun))
-    rhs = _exp(cur, lhs)
-    # Symmetric equality: "RSA" is the algorithm of .. stores the expression
-    # on the left and the literal on the right.
-    if isinstance(lhs, Literal) and not isinstance(rhs, Literal):
-        lhs, rhs = rhs, lhs
-    return Basic(lhs, rhs, negation is not None)
+    else:
+        rhs = _exp(cur, lhs)
+        # Symmetric equality: "RSA" is the algorithm of .. stores the
+        # expression on the left and the literal on the right.
+        if isinstance(lhs, Literal) and not isinstance(rhs, Literal):
+            lhs, rhs = rhs, lhs
+        stmt = Basic(lhs, rhs)
+    return stmt if negation is None else Not(stmt)
 
 
 def _require_non_literal(first: Token, lhs: Exp) -> Exp:

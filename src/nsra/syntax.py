@@ -49,14 +49,9 @@ class TypeAssumption(Record):
 
 
 class Basic(Record):
-    """``lhs is [not] rhs``: ``rhs`` is an ``Exp``, a ``LiteralList`` or a ``TypeAssumption``."""
+    """``lhs is rhs``: ``rhs`` is an ``Exp``, a ``LiteralList`` or a ``TypeAssumption``."""
 
-    __slots__ = ("lhs", "rhs", "negated")
-    _defaults = (False,)
-
-
-class IfStmt(Record):
-    __slots__ = ("cond", "then")
+    __slots__ = ("lhs", "rhs")
 
 
 class Necessity(Record):
@@ -74,11 +69,12 @@ class OrderingPattern(Record):
 
 
 class SignaturePattern(Record):
-    __slots__ = ("method_name", "type_names", "positive")
+    __slots__ = ("method_name", "type_names")
 
 
-# ``and``, ``or`` and ``it is false that`` build the IR's connectives over statements.
-Statement = Basic | And | Or | Not | IfStmt | Necessity | InvocationPattern | OrderingPattern | SignaturePattern
+# ``and``, ``or``, ``it is false that`` and ``is not`` build the IR's connectives
+# over statements, and ``if p then q`` builds ``not p or q``.
+Statement = Basic | And | Or | Not | Necessity | InvocationPattern | OrderingPattern | SignaturePattern
 
 
 class QueryAst(Record):
@@ -114,18 +110,17 @@ def _list_to_text(items: tuple[Literal, ...]) -> str:
 
 def statement_to_text(s: Statement) -> str:
     if isinstance(s, Basic):
-        verb = "is not" if s.negated else "is"
         if isinstance(s.rhs, TypeAssumption):
-            return f"{exp_to_text(s.lhs)} {verb} a {s.rhs.noun}"
+            return f"{exp_to_text(s.lhs)} is a {s.rhs.noun}"
         if isinstance(s.rhs, LiteralList):
-            return f"{exp_to_text(s.lhs)} {verb} in {_list_to_text(s.rhs.items)}"
-        return f"{exp_to_text(s.lhs)} {verb} {exp_to_text(s.rhs)}"
+            return f"{exp_to_text(s.lhs)} is in {_list_to_text(s.rhs.items)}"
+        return f"{exp_to_text(s.lhs)} is {exp_to_text(s.rhs)}"
+    if isinstance(s, Or) and len(s.items) == 2 and isinstance(s.items[0], Not):  # as the parser builds ``if``
+        return f"if {statement_to_text(s.items[0].inner)} then {statement_to_text(s.items[1])}"
     if isinstance(s, (And, Or)):
         return (" and " if isinstance(s, And) else " or ").join(statement_to_text(i) for i in s.items)
     if isinstance(s, Not):
         return f"it is false that {statement_to_text(s.inner)}"
-    if isinstance(s, IfStmt):
-        return f"if {statement_to_text(s.cond)} then {statement_to_text(s.then)}"
     if isinstance(s, Necessity):
         return f"It is necessary that {statement_to_text(s.inner)}"
     if isinstance(s, InvocationPattern):
@@ -134,9 +129,8 @@ def statement_to_text(s: Statement) -> str:
     if isinstance(s, OrderingPattern):
         return f"{s.before} precedes {s.after}"
     if isinstance(s, SignaturePattern):
-        verb = "is" if s.positive else "is not"
         items = tuple(Literal(t) for t in s.type_names)
-        return f"signature of {s.method_name} {verb} {_list_to_text(items)}"
+        return f"signature of {s.method_name} is {_list_to_text(items)}"
     raise TypeError(f"unknown statement {s!r}")
 
 

@@ -135,7 +135,7 @@ def oracle_terms(text, registry=None, front_end=lambda text: normalize(tokenize(
             terms.append(("op", word))
         elif kind is TokenKind.IDENT:
             lowered = value.lower()
-            terms.append(("op", lowered) if lowered in rules else ("id", value))
+            terms.append(("op", lowered) if lowered in rules and lowered not in ARTICLES else ("id", value))
         elif kind is TokenKind.STRING:
             terms.append(("str", value))
         elif kind is TokenKind.INT:

@@ -26,8 +26,9 @@ from nsra.ir import (
     Or,
     TRUE,
     Var,
+    desugar_implication,
 )
-from nsra.lowering import apply_necessity, desugar_implication, expand_membership, lower
+from nsra.lowering import apply_necessity, expand_membership, lower
 from nsra.metrics import compare, halstead_nsra, halstead_ql, nsra_terms
 from nsra.parser import parse_text
 from nsra.qlgen import normalize_ql

@@ -147,8 +147,10 @@ def _rewrite_artifact(text):
     ``'s``, so that word stayed open to what came around it, and an article
     there could drop.  So ``the's name x`` read as ``the name of x``, ``a's b
     of x`` as ``b of a of x``, ``first a's b`` as ``first b of a`` and ``b
-    x's the is 1`` as ``b of x is 1``.  The parser reads a possessive as
-    binding to the name before it, and rejects all four."""
+    x's the is 1`` as ``b of x is 1``.  An attribute word ``of`` moved an
+    ``of of`` there, so ``An object invokes's of init`` read as ``An object
+    of of invokes init``, an invocation by a class ``of``.  The parser reads
+    a possessive as binding to the name before it, and rejects all five."""
     tokens = normalize(tokenize(text))
     i = 1
     while i < len(tokens):
@@ -159,7 +161,7 @@ def _rewrite_artifact(text):
             return True
         while i < len(tokens) and tokens[i].kind is POSSESSIVE:  # along the chain: 's [ordinal] attr, repeated
             i += 2 if i + 1 < len(tokens) and tokens[i + 1].kind is ORDINAL else 1
-            if i < len(tokens) and tokens[i].text.lower() in ARTICLES:  # the article dropped, as before "of"
+            if i < len(tokens) and tokens[i].text.lower() in (*ARTICLES, "of"):  # an article dropped, or ``of of``
                 return True
             i += 1
         if i < len(tokens) and tokens[i].text.lower() == "of":
@@ -183,6 +185,7 @@ def _article_after_a_possessive(text):
 @example("An object of Cipher invokes init. first init's argument is 1.")
 @example('x is a variable. algorithm x\'s the is "a".')
 @example("An object of Cipher invokes init. init's the first argument is 1.")
+@example("An object invokes 's of init .")
 @settings(max_examples=400, deadline=None)
 def test_the_parser_reads_possessives_as_the_rewrite_did(text):
     """Whatever compiled when a rewrite turned ``X's [ordinal] attr`` into

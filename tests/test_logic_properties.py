@@ -15,9 +15,10 @@ from nsra.ir import (
     Or,
     TRUE,
     Var,
+    desugar_implication,
     simplify,
 )
-from nsra.lowering import apply_necessity, desugar_implication, expand_membership
+from nsra.lowering import apply_necessity, expand_membership
 from truth_table import assignments, atoms, evaluate, truth_vector
 
 _ATOMS = [Eq(Var(f"a{i}"), Lit(i)) for i in range(10)]

@@ -21,13 +21,13 @@ from nsra.ir import (
     Or,
     TRUE,
     Var,
+    desugar_implication,
     simplify,
 )
 from nsra.lowering import (
     _lower_basic,
     _resolve,
     apply_necessity,
-    desugar_implication,
     expand_membership,
     lower,
 )

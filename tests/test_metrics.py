@@ -23,7 +23,7 @@ from nsra.metrics import (
     nsra_terms,
 )
 from nsra.parser import parse_text
-from nsra.registry import builtin_crypto_profile, load_profile
+from nsra.registry import Registry, builtin_crypto_profile, load_profile
 from conftest import GOLDEN, QL_PREAMBLES, golden_text
 from front_end_oracle import oracle_terms
 
@@ -350,6 +350,21 @@ def test_user_terminals_are_the_names_and_literals_of_the_parse_tree():
         terms = {term for term in nsra_terms(text, registry) if term[0] in ("id", "str", "int")}
         assert terms == _tree_terms(tree), text
     assert compiled > 1500
+
+
+def test_an_article_kept_as_a_name_is_an_operand():
+    """A registry may hold a rule spelled like an article (``load_profile``
+    admits none); the article the parser reads as a declared name is still an
+    operand, as ``halstead_ql`` counts that variable."""
+    builtin = builtin_crypto_profile()
+    registry = Registry({**builtin.rules, "a": builtin.rules["name"]}, builtin.type_aliases, builtin.ql_type_names)
+    text = 'a is a variable. a is "x".'
+    assert compile_text(text, registry) == 'from Variable a\nwhere a.toString() = "x"\nselect a\n'
+    assert nsra_terms(text, registry) == [
+        ("id", "a"), ("op", "is"), ("op", "variable"), ("PERIOD", "."),
+        ("id", "a"), ("op", "is"), ("str", "x"), ("PERIOD", "."),
+    ]  # fmt: skip
+    assert {t for t in nsra_terms(text, registry) if t[0] in ("id", "str")} == _tree_terms(parse_text(text))
 
 
 def test_readme_halstead_table_matches_the_counts():

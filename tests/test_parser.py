@@ -24,7 +24,6 @@ from nsra.qlgen import normalize_ql, read_query_text, render
 from nsra.syntax import (
     Basic,
     Ident,
-    IfStmt,
     InvocationPattern,
     Literal,
     LiteralList,
@@ -126,7 +125,7 @@ def test_membership():
 
 def test_is_not_negates():
     stmt = single('init is not "x".')
-    assert stmt == Basic(Ident("init"), Literal("x"), negated=True)
+    assert stmt == Not(Basic(Ident("init"), Literal("x")))
 
 
 def test_reversed_equality_stored_symmetrically():
@@ -187,9 +186,7 @@ def test_it_is_false_that():
 
 def test_if_then():
     stmt = single('If arg1 is "RSA" then arg2 is "AES".')
-    assert stmt == IfStmt(
-        Basic(Ident("arg1"), Literal("RSA")), Basic(Ident("arg2"), Literal("AES"))
-    )
+    assert stmt == Or((Not(Basic(Ident("arg1"), Literal("RSA"))), Basic(Ident("arg2"), Literal("AES"))))
 
 
 def test_comma_tolerated_before_then():
@@ -225,25 +222,25 @@ def test_false_that_captures_if_then():
     stmt = single('It is false that if a is "1" then b is "2" or it is false that c is "3".')
     assert isinstance(stmt, Or)
     assert isinstance(stmt.items[0], Not)
-    assert isinstance(stmt.items[0].inner, IfStmt)
+    assert stmt.items[0].inner == single('if a is "1" then b is "2".')
     assert isinstance(stmt.items[1], Not)
 
 
 def test_if_condition_takes_or_chain():
     stmt = single('if a is "1" or b is "2" then c is "3".')
-    assert isinstance(stmt, IfStmt)
-    assert isinstance(stmt.cond, Or)
+    assert isinstance(stmt, Or)
+    assert isinstance(stmt.items[0].inner, Or)
 
 
 def test_then_branch_takes_and_chain():
     stmt = single('if a is "1" then b is "2" and c is "3".')
-    assert isinstance(stmt, IfStmt)
-    assert isinstance(stmt.then, And)
+    assert isinstance(stmt, Or)
+    assert isinstance(stmt.items[1], And)
 
 
 def test_signature_pattern():
     stmt = single('getInstance\'s signature is ["int", "Certificate"].')
-    assert stmt == SignaturePattern("getInstance", ("int", "Certificate"), True)
+    assert stmt == SignaturePattern("getInstance", ("int", "Certificate"))
 
 
 def test_signature_negative_with_ellipsis():
@@ -252,10 +249,32 @@ def test_signature_negative_with_ellipsis():
     )
     assert stmt == And(
         (
-            SignaturePattern("getInstance", ("int",), False),
-            SignaturePattern("getInstance", ("int", "Key"), False),
+            Not(SignaturePattern("getInstance", ("int",))),
+            Not(SignaturePattern("getInstance", ("int", "Key"))),
         )
     )
+
+
+def test_elliptical_signature_after_it_is_false_that():
+    """``it is false that`` binds the first signature, and the ellipsis reads
+    its subject through that negation, as through ``is not``."""
+    stmt = single('It is false that m\'s signature is ["int"] and is ["Key"].')
+    assert stmt == And((Not(SignaturePattern("m", ("int",))), SignaturePattern("m", ("Key",))))
+    assert stmt == single('m\'s signature is not ["int"] and is ["Key"].')
+    with pytest.raises(QuerySyntaxError):  # the ellipsis reads through one negation only
+        parse_text('It is false that m\'s signature is not ["int"] and is ["Key"].')
+
+
+def test_is_not_is_it_is_false_that():
+    assert single('x is not "a".') == single('it is false that x is "a".') == Not(Basic(Ident("x"), Literal("a")))
+    assert single("x is not in [1, 2].") == single("it is false that x is in [1, 2].")
+    assert single('m\'s signature is not ["int"].') == single('it is false that m\'s signature is ["int"].')
+
+
+def test_if_then_is_it_is_false_that_or():
+    assert single('if x is "a" then y is "b".') == single('it is false that x is "a" or y is "b".')
+    implication = single('if x is "a" then y is "b" and z is "c".')
+    assert implication == single('it is false that x is "a" or y is "b" and z is "c".')
 
 
 def test_ellipsis_without_subject_rejected():
