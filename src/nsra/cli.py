@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import SourceError, format_diagnostic
 from .lowering import lower
-from .metrics import compare, format_row, halstead_nsra, halstead_ql
+from .metrics import HalsteadCounts, compare, format_row, halstead_nsra, reader_counts
 from .parser import parse_text
 from .qlgen import QlReader, canonical, dump_ir, read_ql, render, repaired
 from .registry import Registry, builtin_crypto_profile, load_profile
@@ -142,8 +142,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # Neither a query that does not compile nor QL that does not read as a
     # query has counts; once both read, counting cannot fail.
     _apply(_lowered, args.input, text, registry)
-    _apply(read_ql, args.ql, ql_text)
-    row = compare(halstead_nsra(text, registry), halstead_ql(ql_text))
+    ql_counts = _apply(_read_counted, args.ql, ql_text)
+    row = compare(halstead_nsra(text, registry), ql_counts)
     if args.json:
         import json  # here, not at the top: only --json needs it
 
@@ -151,6 +151,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     else:
         print(format_row(row))
     return 0
+
+
+def _read_counted(ql_text: str) -> HalsteadCounts:
+    """The ``halstead_ql`` counts of QL text, lexed once; raises as ``read_ql`` does where the text is no query."""
+    reader = QlReader(ql_text)
+    counts = reader_counts(reader)
+    reader.read_query()
+    return counts
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

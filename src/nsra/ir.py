@@ -94,7 +94,7 @@ class QueryIR(Record):
 
 
 def conjoin(items: list[BoolExpr]) -> BoolExpr:
-    items = [i for i in items if not isinstance(i, TrueExpr)]
+    items = [i for i in items if type(i) is not TrueExpr]
     if not items:
         return TRUE
     if len(items) == 1:
@@ -118,19 +118,21 @@ def desugar_implication(p: BoolExpr, q: BoolExpr) -> BoolExpr:
 def _push_pays(group: And | Or) -> bool:
     """Whether negating ``group`` by De Morgan strictly drops the negation
     count, i.e. its negated children outweigh the plain ones."""
-    negated = sum(1 for i in group.items if isinstance(i, Not))
+    negated = sum(type(i) is Not for i in group.items)
     return len(group.items) - negated < 1 + negated
 
 
 def _dual(group: And | Or) -> BoolExpr:
     """De Morgan dual of a negated group: ``not (a and b)`` -> ``not a or not b``."""
     flipped = tuple(Not(i) for i in group.items)
-    return And(flipped) if isinstance(group, Or) else Or(flipped)
+    return And(flipped) if type(group) is Or else Or(flipped)
 
 
 def simplify(e: BoolExpr) -> BoolExpr:
     """Normalize a boolean tree; logically equivalent to the input."""
     group = type(e)
+    if group is Eq:
+        return e
     if group is And or group is Or:
         items: list[BoolExpr] = []
         for child in map(simplify, e.items):
@@ -144,19 +146,23 @@ def simplify(e: BoolExpr) -> BoolExpr:
         return disjoin(items) if items else Not(TRUE)  # every disjunct was "not true"
     if group is Not:
         raw = e.inner
-        if isinstance(raw, Not):
+        kind = type(raw)
+        if kind is Eq or kind is Lt:
+            return e
+        if kind is Not:
             return simplify(raw.inner)
         # De Morgan push, decided on the shape as written (before
         # flattening merges nested groups).
-        if isinstance(raw, (And, Or)) and _push_pays(raw):
+        if (kind is And or kind is Or) and _push_pays(raw):
             return simplify(_dual(raw))
         inner = simplify(raw)
-        if isinstance(inner, Not):
+        kind = type(inner)
+        if kind is Not:
             return inner.inner
         # Simplifying can make a push pay that did not as written; decide
         # again on the simplified group, or simplifying the result a second
         # time would push.
-        if isinstance(inner, (And, Or)) and _push_pays(inner):
+        if (kind is And or kind is Or) and _push_pays(inner):
             return simplify(_dual(inner))
         return Not(inner)
     if group is Exists:

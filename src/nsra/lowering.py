@@ -58,18 +58,18 @@ def _resolve(e: ast.Exp, reg: Registry, declared: frozenset[str]) -> tuple[QlExp
     layer appends its rule's calls to its inner value (ordinals fill the slot
     zero-based), and is of its rule's ``result_kind``.
     """
-    if isinstance(e, ast.Prefixed):
+    kind = type(e)
+    if kind is ast.Prefixed:
         rule = lookup_attribute(e.attribute, reg)
-        if e.ordinal is not None and not rule.has_ordinal_slot:
+        if e.ordinal is not None and rule.slot is None:
             raise OrdinalNotAllowed(e.attribute)
-        if e.ordinal is None and rule.has_ordinal_slot:
+        if e.ordinal is None and rule.slot is not None:
             raise MissingOrdinal(e.attribute)
-        ordinal_index = None if e.ordinal is None else e.ordinal - 1
-        steps = rule.render_steps(ordinal_index)
+        steps = rule.steps if e.ordinal is None else rule.render_steps(e.ordinal - 1)
         return _extended(_resolve(e.inner, reg, declared)[0], steps), rule.result_kind
-    if isinstance(e, ast.Ident):
+    if kind is ast.Ident:
         return _var(e.name, declared), "object"
-    return Lit(e.value), "string" if isinstance(e.value, str) else "int"
+    return Lit(e.value), "string" if type(e.value) is str else "int"
 
 
 def _var(name: str, declared: frozenset[str]) -> Var:
@@ -79,7 +79,7 @@ def _var(name: str, declared: frozenset[str]) -> Var:
 
 
 def _extended(value: QlExpr, steps: tuple[str, ...]) -> Chain:  # a variable starts a chain
-    return value.extended(steps) if isinstance(value, Chain) else Chain(value, steps)
+    return value.extended(steps) if type(value) is Chain else Chain(value, steps)
 
 
 def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:
@@ -90,7 +90,7 @@ def lower(query: ast.QueryAst, reg: Registry) -> QueryIR:
     plain: list[BoolExpr] = []
     necessity: list[BoolExpr] = []
     for stmt in query.statements:
-        if isinstance(stmt, ast.Necessity):
+        if type(stmt) is ast.Necessity:
             necessity.append(_lower_statement(stmt.inner, reg, declared))
         else:  # ``conjoin`` drops a condition that always holds
             plain.append(_lower_statement(stmt, reg, declared))
@@ -115,24 +115,25 @@ def _collect_decls(query: ast.QueryAst, reg: Registry) -> list[Decl]:
             raise DuplicateDeclaration(decl.var_name)
 
     def walk(stmt: ast.Statement) -> None:
-        if isinstance(stmt, ast.InvocationPattern):
-            if stmt.positive:
-                # Re-invoking the same method from the same class merges;
-                # the same method name under two classes is a conflict.
-                known = invocation_class.get(stmt.method_name)
-                if known is not None and known != stmt.class_name:
-                    raise DuplicateDeclaration(stmt.method_name)
-                invocation_class[stmt.method_name] = stmt.class_name
-                add(Decl(stmt.method_name, _ql_type("method access", reg)))
-        elif isinstance(stmt, ast.Basic) and isinstance(stmt.rhs, ast.TypeAssumption):
-            if not isinstance(stmt.lhs, ast.Ident):
-                raise UndeclaredSubject(ast.exp_to_text(stmt.lhs))
-            add(Decl(stmt.lhs.name, _ql_type(stmt.rhs.noun, reg)))
-        elif isinstance(stmt, (And, Or)):
+        kind = type(stmt)
+        if kind is ast.Basic:
+            if type(stmt.rhs) is ast.TypeAssumption:
+                if type(stmt.lhs) is not ast.Ident:
+                    raise UndeclaredSubject(ast.exp_to_text(stmt.lhs))
+                add(Decl(stmt.lhs.name, _ql_type(stmt.rhs.noun, reg)))
+        elif kind is Not or kind is ast.Necessity:
+            walk(stmt.inner)
+        elif kind is Or or kind is And:
             for item in stmt.items:
                 walk(item)
-        elif isinstance(stmt, (Not, ast.Necessity)):
-            walk(stmt.inner)
+        elif kind is ast.InvocationPattern and stmt.positive:
+            # Re-invoking the same method from the same class merges;
+            # the same method name under two classes is a conflict.
+            known = invocation_class.get(stmt.method_name)
+            if known is not None and known != stmt.class_name:
+                raise DuplicateDeclaration(stmt.method_name)
+            invocation_class[stmt.method_name] = stmt.class_name
+            add(Decl(stmt.method_name, _ql_type("method access", reg)))
 
     for stmt in query.statements:
         walk(stmt)
@@ -146,13 +147,14 @@ def _ql_type(noun: str, reg: Registry) -> str:  # the QL class the profile's ``[
 
 
 def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str]) -> BoolExpr:
-    if isinstance(stmt, ast.Basic):
+    kind = type(stmt)
+    if kind is ast.Basic:
         return _lower_basic(stmt, reg, declared)
-    if isinstance(stmt, (And, Or)):
-        return type(stmt)(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
-    if isinstance(stmt, Not):
+    if kind is Not:
         return Not(_lower_statement(stmt.inner, reg, declared))
-    if isinstance(stmt, ast.InvocationPattern):
+    if kind is Or or kind is And:
+        return kind(tuple(_lower_statement(i, reg, declared) for i in stmt.items))
+    if kind is ast.InvocationPattern:
         # A positive invocation's subject is declared by ``_collect_decls``; a
         # negative one binds it in an existential.
         subject = Var(stmt.method_name)
@@ -167,7 +169,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
         if stmt.method_name in declared:  # the existential would rebind the declared name
             raise DuplicateDeclaration(stmt.method_name)
         return Not(Exists(Decl(stmt.method_name, _ql_type("method access", reg)), cond))
-    if isinstance(stmt, ast.OrderingPattern):
+    if kind is ast.OrderingPattern:
         # Same callable, strictly smaller end line, so same-line invocations
         # never satisfy an ordering; ``a precedes a`` is emitted as the
         # (unsatisfiable) comparison it denotes.  The parser has already
@@ -179,7 +181,7 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
                 Lt(Chain(b, ("getLocation()", "getEndLine()")), Chain(a, ("getLocation()", "getEndLine()"))),
             )
         )
-    if isinstance(stmt, ast.SignaturePattern):
+    if kind is ast.SignaturePattern:
         # The argument count equals the list length, then one type check per
         # slot.
         subject = _var(stmt.method_name, declared)
@@ -191,12 +193,13 @@ def _lower_statement(stmt: ast.Statement, reg: Registry, declared: frozenset[str
 
 
 def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> BoolExpr:
-    if isinstance(stmt.rhs, ast.TypeAssumption):
+    kind = type(stmt.rhs)
+    if kind is ast.TypeAssumption:
         return TRUE  # contributes a declaration only
     lhs, lhs_kind = _resolve(stmt.lhs, reg, declared)
-    if isinstance(stmt.rhs, ast.LiteralList):
+    if kind is ast.LiteralList:
         rhs = [Lit(i.value) for i in stmt.rhs.items]
-        rhs_kind = "string" if all(isinstance(i.value, str) for i in rhs) else "int"
+        rhs_kind = "string" if all(type(i.value) is str for i in rhs) else "int"
     else:
         value, rhs_kind = _resolve(stmt.rhs, reg, declared)
         rhs = [value]
@@ -207,8 +210,8 @@ def _lower_basic(stmt: ast.Basic, reg: Registry, declared: frozenset[str]) -> Bo
         lhs = _extended(lhs, ("toString()",))
     elif lhs_kind == "string" and rhs_kind == "object":
         rhs = [_extended(rhs[0], ("toString()",))]
-    if isinstance(stmt.lhs, ast.Prefixed) and stmt.lhs.attribute == "type":  # a simple type name, by its alias
-        rhs = [Lit(reg.resolve_alias(i.value)) if isinstance(i, Lit) and isinstance(i.value, str) else i for i in rhs]
+    if type(stmt.lhs) is ast.Prefixed and stmt.lhs.attribute == "type":  # a simple type name, by its alias
+        rhs = [Lit(reg.resolve_alias(i.value)) if type(i) is Lit and type(i.value) is str else i for i in rhs]
     if len(rhs) > 1:
         return expand_membership(lhs, rhs)
-    return TRUE if lhs == rhs[0] == TRUE_OPERAND else Eq(lhs, rhs[0])
+    return TRUE if type(lhs) is Lit and lhs == rhs[0] == TRUE_OPERAND else Eq(lhs, rhs[0])

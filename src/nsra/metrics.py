@@ -149,7 +149,11 @@ def halstead_ql(ql_text: str) -> HalsteadCounts:
 
     A token is its source text, so a string keeps its quotes and is never
     spelled like an identifier; each distinct token is classified once."""
-    reader = QlReader(ql_text)
+    return reader_counts(QlReader(ql_text))
+
+
+def reader_counts(reader: QlReader) -> HalsteadCounts:
+    """``halstead_ql`` of the text ``reader`` lexed, counted from its ``pos``: before it reads past the imports."""
     tokens = reader.tokens[reader.pos :]  # the last is the reader's end sentinel
     calls = Counter(name for name, nxt in zip(tokens, tokens[1:]) if nxt == "(")
     operators: dict[str, int] = {}

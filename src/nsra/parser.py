@@ -54,7 +54,8 @@ QL_RESERVED_WORDS = frozenset(
 class _Cursor:
     """A position in a normalized token stream and four end tokens after it (kind ``None``, text ``""``, the
     empty span at the last token's end), as many as a probe may look past the end.  ``words`` folds each word
-    once per parse: the lowered text of a WORD or IDENT token, ``""`` for any other.  A word probe is one index."""
+    once per parse: the lowered text of a WORD or IDENT token, ``""`` for any other.  The parsing functions
+    read ``words[i]`` and ``tokens[i].kind`` by index, deciding the common case first."""
 
     def __init__(self, tokens: list[Token]):
         end = tokens[-1].end if tokens else 0
@@ -63,40 +64,25 @@ class _Cursor:
         self.pos = 0
         self.depth = 0  # nested phrases open at ``pos``
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
-    def word(self, offset: int = 0) -> str:  # "" for a token that is no word
-        return self.words[self.pos + offset]
-
-    def at_word(self, *words: str, offset: int = 0) -> bool:
-        return self.words[self.pos + offset] in words
-
-    def at_kind(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self.tokens[self.pos + offset].kind is kind
-
-    def take(self) -> Token:  # every caller has seen that the next token is no end token
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def descend(self) -> None:  # a nested phrase opens at the next token; its parser ends it with ``depth -= 1``
         if self.depth == MAX_NESTING:
             raise NestingTooDeep(f"phrases nested more than {MAX_NESTING} deep", self.tokens[self.pos].span)
         self.depth += 1
 
     def expect_word(self, *words: str) -> Token:
-        if not self.at_word(*words):
+        if self.words[self.pos] not in words:
             raise self.error(*words)
-        return self.take()
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect_kind(self, kind: TokenKind, what: str) -> Token:
-        if not self.at_kind(kind):
+        if self.tokens[self.pos].kind is not kind:
             raise self.error(what)
-        return self.take()
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def error(self, *expected: str) -> QuerySyntaxError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         found = "end of query" if tok.kind is None else repr(tok.text)
         return QuerySyntaxError(f"unexpected {found}", tok.span, expected)
 
@@ -114,7 +100,7 @@ def parse_query(tokens: list[Token]) -> QueryAst:
     """
     cur = _Cursor(tokens)
     statements: list[Statement] = []
-    while cur.peek().kind is not None:
+    while cur.tokens[cur.pos].kind is not None:
         statements.append(_sentence(cur))
     if not statements:
         raise QuerySyntaxError("empty query", Span(0, 0))
@@ -122,17 +108,20 @@ def parse_query(tokens: list[Token]) -> QueryAst:
 
 
 def _sentence(cur: _Cursor) -> Statement:
-    if _at_phrase(cur, "it", "is", "necessary", "that"):
+    if cur.words[cur.pos] == "it" and _at_phrase(cur, "it", "is", "necessary", "that"):
         cur.pos += 4
         stmt: Statement = Necessity(_chain(cur))
     else:
         stmt = _chain(cur)
-    cur.expect_kind(PERIOD, "'.'")
+    if cur.tokens[cur.pos].kind is not PERIOD:
+        raise cur.error("'.'")
+    cur.pos += 1
     return stmt
 
 
 def _at_phrase(cur: _Cursor, *words: str) -> bool:
-    return cur.words[cur.pos : cur.pos + len(words)] == [*words]
+    i = cur.pos
+    return cur.words[i] == words[0] and cur.words[i : i + len(words)] == [*words]
 
 
 def _chain(cur: _Cursor, group: type[And | Or] = Or) -> Statement:
@@ -140,8 +129,8 @@ def _chain(cur: _Cursor, group: type[And | Or] = Or) -> Statement:
     A unit sees the unit before it, for ``... and is not [...]``."""
     word = "or" if group is Or else "and"
     items = [_chain(cur, And) if group is Or else _unit(cur, None)]
-    while cur.words[cur.pos] == word:  # ``cur.at_word(word)`` without the call, as each sentence reads two chains
-        cur.take()
+    while cur.words[cur.pos] == word:
+        cur.pos += 1
         items.append(_chain(cur, And) if group is Or else _unit(cur, items[-1]))
     return items[0] if len(items) == 1 else group(tuple(items))
 
@@ -153,20 +142,22 @@ def _unit(cur: _Cursor, previous: Statement | None) -> Statement:
     as one unit); ``it is necessary that`` is rejected here so necessity
     never nests.
     """
-    if _at_phrase(cur, "it", "is", "necessary", "that"):
-        raise QuerySyntaxError("a necessity statement must stand on its own sentence", cur.peek().span)
-    if _at_phrase(cur, "it", "is", "false", "that"):
+    word = cur.words[cur.pos]
+    if word == "it":
+        if _at_phrase(cur, "it", "is", "necessary", "that"):
+            raise QuerySyntaxError("a necessity statement must stand on its own sentence", cur.tokens[cur.pos].span)
+        if _at_phrase(cur, "it", "is", "false", "that"):
+            cur.descend()
+            cur.pos += 4
+            inner = _unit(cur, previous=None)
+            cur.depth -= 1
+            return Not(inner)
+    elif word == "if":
         cur.descend()
-        cur.pos += 4
-        inner = _unit(cur, previous=None)
-        cur.depth -= 1
-        return Not(inner)
-    if cur.at_word("if"):
-        cur.descend()
-        cur.take()
+        cur.pos += 1
         cond = _chain(cur)
-        if cur.at_kind(COMMA):  # tolerated before "then"
-            cur.take()
+        if cur.tokens[cur.pos].kind is COMMA:  # tolerated before "then"
+            cur.pos += 1
         cur.expect_word("then")
         then = _chain(cur, And)
         cur.depth -= 1
@@ -178,21 +169,23 @@ def _simple(cur: _Cursor, previous: Statement | None) -> Statement:
     """A pattern or a basic statement.  A signature's subject is ``signature
     of m``, ``m's signature``, or, in ``... and is not ["int"]``, the subject
     of the signature before it, negated or not."""
-    if cur.at_word("object"):
+    i, words = cur.pos, cur.words
+    word = words[i]
+    if word == "object":
         return _invocation(cur)
-    if cur.at_kind(IDENT) and cur.at_word("precedes", "follows", offset=1):
+    if words[i + 1] in ("precedes", "follows") and cur.tokens[i].kind is IDENT:
         return _ordering(cur)
-    if cur.at_word("signature"):
+    if word == "signature":
         cur.pos += 1
         cur.expect_word("of")
         method = cur.expect_kind(IDENT, "method name").text
-    elif cur.at_kind(POSSESSIVE, 1) and cur.at_word("signature", offset=2) and cur.at_kind(IDENT):
-        method = cur.peek().text
+    elif words[i + 2] == "signature" and cur.tokens[i + 1].kind is POSSESSIVE and cur.tokens[i].kind is IDENT:
+        method = cur.tokens[i].text
         cur.pos += 3
-    elif cur.at_word("is"):
-        if isinstance(previous, Not):
+    elif word == "is":
+        if type(previous) is Not:
             previous = previous.inner
-        if not isinstance(previous, SignaturePattern):
+        if type(previous) is not SignaturePattern:
             raise cur.error("a statement subject")
         method = previous.method_name
     else:
@@ -204,16 +197,16 @@ def _invocation(cur: _Cursor) -> Statement:
     cur.pos += 1  # object
     cur.expect_word("of")
     # Any word before the verb names a class, one spelled like a keyword (``Signature``) too.
-    keyword_spelled = cur.at_kind(WORD) and cur.at_word("invokes", "does", offset=1)
+    keyword_spelled = cur.tokens[cur.pos].kind is WORD and cur.words[cur.pos + 1] in ("invokes", "does")
     class_name = cur.expect_kind(WORD if keyword_spelled else IDENT, "class name").text
-    positive = cur.at_word("invokes")
+    positive = cur.words[cur.pos] == "invokes"
     for word in ("invokes",) if positive else ("does", "not", "invoke"):
         cur.expect_word(word)
     return InvocationPattern(class_name, _name(cur.expect_kind(IDENT, "method name")), positive)
 
 
 def _ordering(cur: _Cursor) -> Statement:
-    left, verb = cur.peek().text, cur.word(1)
+    left, verb = cur.tokens[cur.pos].text, cur.words[cur.pos + 1]
     cur.pos += 2
     right = cur.expect_kind(IDENT, "method name").text
     return OrderingPattern(right, left) if verb == "follows" else OrderingPattern(left, right)
@@ -221,29 +214,33 @@ def _ordering(cur: _Cursor) -> Statement:
 
 def _signature_rest(cur: _Cursor, method: str) -> Statement:
     cur.expect_word("is")
-    negation = cur.take() if cur.at_word("not") else None
+    negated = cur.words[cur.pos] == "not"
+    cur.pos += negated
     pattern = SignaturePattern(method, tuple(i.value for i in _literal_list(cur, _type_name)))
-    return pattern if negation is None else Not(pattern)
+    return Not(pattern) if negated else pattern
 
 
 def _type_name(cur: _Cursor, like: Literal | None = None) -> Literal:  # ``like`` goes unused: every type name is a string
-    tok = cur.peek()
+    tok = cur.tokens[cur.pos]
     lit = _literal(cur)
-    if not isinstance(lit.value, str):
+    if type(lit.value) is not str:
         raise QuerySyntaxError("signature lists hold type names as strings", tok.span)
     return lit
 
 
 def _basic(cur: _Cursor) -> Statement:
-    first = cur.peek()
+    first = cur.tokens[cur.pos]
     lhs = _exp(cur)
-    cur.expect_word("is")
-    negation = cur.take() if cur.at_word("not") else None
-    if cur.at_word("in"):
-        cur.take()
+    i, words = cur.pos, cur.words
+    if words[i] != "is":
+        raise cur.error("is")
+    negation = cur.tokens[i + 1] if words[i + 1] == "not" else None
+    cur.pos = i = i + 1 if negation is None else i + 2
+    if words[i] == "in":
+        cur.pos += 1
         items = _literal_list(cur)
         stmt = Basic(_require_non_literal(first, lhs), LiteralList(items))
-    elif (noun := _type_noun(cur)) is not None:
+    elif words[i] in _TYPE_NOUN_STARTS and (noun := _type_noun(cur)) is not None:
         if negation is not None:
             raise QuerySyntaxError("type assumptions cannot be negated", negation.span)
         return Basic(_require_non_literal(first, lhs), TypeAssumption(noun))
@@ -251,7 +248,7 @@ def _basic(cur: _Cursor) -> Statement:
         rhs = _exp(cur, lhs)
         # Symmetric equality: "RSA" is the algorithm of .. stores the
         # expression on the left and the literal on the right.
-        if isinstance(lhs, Literal) and not isinstance(rhs, Literal):
+        if type(lhs) is Literal and type(rhs) is not Literal:
             lhs, rhs = rhs, lhs
         stmt = Basic(lhs, rhs)
     return stmt if negation is None else Not(stmt)
@@ -259,18 +256,22 @@ def _basic(cur: _Cursor) -> Statement:
 
 def _require_non_literal(first: Token, lhs: Exp) -> Exp:
     """``first`` is the subject's first token, where the error points."""
-    if isinstance(lhs, Literal):
+    if type(lhs) is Literal:
         raise QuerySyntaxError("a literal cannot be the subject here", first.span)
     return lhs
+
+
+# The first word of each type noun: no other word after ``is`` starts one.
+_TYPE_NOUN_STARTS = frozenset(words[0] for words in TYPE_NOUNS)
 
 
 def _type_noun(cur: _Cursor) -> str | None:
     for words, noun in TYPE_NOUNS.items():
         if _at_phrase(cur, *words):
             # "method access" must not swallow an attribute use of "method".
-            n = len(words)
-            if cur.peek(n).kind in (None, PERIOD, COMMA) or cur.at_word("and", "or", "then", offset=n):
-                cur.pos += n
+            i = cur.pos + len(words)
+            if cur.tokens[i].kind in (None, PERIOD, COMMA) or cur.words[i] in ("and", "or", "then"):
+                cur.pos = i
                 return noun
     return None
 
@@ -278,55 +279,59 @@ def _type_noun(cur: _Cursor) -> str | None:
 def _literal(cur: _Cursor, like: Exp | None = None) -> Literal:
     """A string or integer literal; an error at it if ``like``, what it is
     compared with, is a literal of the other kind."""
-    tok = cur.peek()
-    if tok.kind is not STRING and tok.kind is not INT:
+    tok = cur.tokens[cur.pos]
+    if tok.kind is STRING:
+        lit = Literal(tok.text)
+    elif tok.kind is INT:
+        lit = Literal(tok.int_value())
+    else:
         raise cur.error("a literal" if tok.kind is None else "a string or integer literal")
-    lit = Literal(tok.text if tok.kind is STRING else tok.int_value())
-    cur.take()
-    if cur.at_kind(POSSESSIVE):  # a literal has no attributes
-        raise IllegalCharacter(_NO_POSSESSOR, cur.peek().span)
-    if isinstance(like, Literal) and isinstance(like.value, str) is not isinstance(lit.value, str):
+    cur.pos += 1
+    if cur.tokens[cur.pos].kind is POSSESSIVE:  # a literal has no attributes
+        raise IllegalCharacter(_NO_POSSESSOR, cur.tokens[cur.pos].span)
+    if type(like) is Literal and (type(like.value) is str) is not (type(lit.value) is str):
         raise QuerySyntaxError("a string cannot be compared with an integer", tok.span)
     return lit
 
 
 def _literal_list(cur: _Cursor, item: Callable[..., Literal] = _literal) -> tuple[Literal, ...]:
     """``[item, ...]``: each item after the first is read ``like`` the first."""
-    open_tok = cur.expect_kind(LIST_OPEN, "'['")
-    if cur.at_kind(LIST_CLOSE):
-        close = cur.take()
-        raise EmptyList("empty list", Span(open_tok.start, close.end))
+    open_tok, tokens = cur.expect_kind(LIST_OPEN, "'['"), cur.tokens
+    if tokens[cur.pos].kind is LIST_CLOSE:
+        raise EmptyList("empty list", Span(open_tok.start, tokens[cur.pos].end))
     items = [item(cur)]
-    while cur.at_kind(COMMA):
-        cur.take()
+    while tokens[cur.pos].kind is COMMA:
+        cur.pos += 1
         items.append(item(cur, items[0]))
     cur.expect_kind(LIST_CLOSE, "']'")
     return tuple(items)
 
 
 def _exp(cur: _Cursor, like: Exp | None = None) -> Exp:  # ``like`` as for ``_literal``
-    tok = cur.peek()
-    if tok.kind in (STRING, INT):
+    i, words = cur.pos, cur.words
+    tok = cur.tokens[i]
+    kind, word = tok.kind, words[i]
+    if kind is STRING or kind is INT:
         return _literal(cur, like)
-    word = cur.word()
     # Adjective position: word before "attribute of" must be an ordinal.
-    if word and cur.word(1) not in ("", "of") and cur.at_word("of", offset=2):
+    if word and words[i + 1] not in ("", "of") and words[i + 2] == "of":
         raise UnknownOrdinal(tok.text, tok.span)
-    if tok.kind is ORDINAL or word and cur.at_word("of", offset=1):  # [ordinal] W of X
+    if kind is ORDINAL or word and words[i + 1] == "of":  # [ordinal] W of X
         cur.descend()
-        value = ORDINALS[cur.take().text.lower()] if tok.kind is ORDINAL else None
-        attr = cur.word()
-        if not attr:
+        value = ORDINALS[tok.text.lower()] if kind is ORDINAL else None
+        cur.pos = i = i if value is None else i + 1
+        if not words[i]:
             raise cur.error("attribute word")
         cur.pos += 1
         cur.expect_word("of")
-        inner = _require_non_literal(cur.peek(), _exp(cur))  # a literal has no attributes
+        inner = _require_non_literal(cur.tokens[i + 2], _exp(cur))  # a literal has no attributes
         cur.depth -= 1
-        return Prefixed(attr, value, inner)
-    if tok.kind is IDENT:
-        cur.take()
-        return _possessives(cur, Ident(_name(tok)))
-    if tok.kind is POSSESSIVE:
+        return Prefixed(words[i], value, inner)
+    if kind is IDENT:
+        cur.pos = i + 1
+        ident = Ident(_name(tok))
+        return _possessives(cur, ident) if cur.tokens[i + 1].kind is POSSESSIVE else ident
+    if kind is POSSESSIVE:
         raise IllegalCharacter(_NO_POSSESSOR, tok.span)
     raise cur.error("an expression")
 
@@ -335,13 +340,13 @@ def _possessives(cur: _Cursor, owner: Exp) -> Exp:
     """``owner's [ordinal] attr``, repeated: each ``'s`` takes the phrase
     before it as its possessor, so a chain reads left to right.  Each
     possessive is one level of nesting, opened at its ordinal or attribute."""
-    depth = cur.depth
-    while cur.at_kind(POSSESSIVE):
-        marker = cur.take()
-        value = ORDINALS[cur.peek().text.lower()] if cur.at_kind(ORDINAL) else None
-        attr = cur.word(0 if value is None else 1)
+    depth, tokens, words = cur.depth, cur.tokens, cur.words
+    while tokens[cur.pos].kind is POSSESSIVE:
+        i = cur.pos = cur.pos + 1  # past the marker
+        value = ORDINALS[tokens[i].text.lower()] if tokens[i].kind is ORDINAL else None
+        attr = words[i if value is None else i + 1]
         if not attr:
-            raise IllegalCharacter("possessive marker without an attribute", marker.span)
+            raise IllegalCharacter("possessive marker without an attribute", tokens[i - 1].span)
         cur.descend()
         cur.pos += 1 if value is None else 2
         owner = Prefixed(attr, value, owner)

@@ -66,15 +66,14 @@ def unescape_string(body: str) -> str:
 
 
 def _value_text(e: QlExpr) -> str:
-    if isinstance(e, Lit):
-        if isinstance(e.value, int):
-            return str(e.value)
-        return f'"{escape_string(e.value)}"'
-    if isinstance(e, Chain):
+    kind = type(e)
+    if kind is Chain:
         return ".".join((_value_text(e.base), *e.steps))
-    if isinstance(e, Count):
-        return f"count ({_value_text(e.inner)})"
-    return e.name  # Var
+    if kind is Var:
+        return e.name
+    if kind is Lit:
+        return f'"{escape_string(e.value)}"' if type(e.value) is str else str(e.value)
+    return f"count ({_value_text(e.inner)})"  # Count
 
 
 # Each connective's QL keyword, its separator and how tightly it binds: a

@@ -41,10 +41,6 @@ class AttributeRule(Record):
 
     __slots__ = ("steps", "result_kind", "slot")
 
-    @property
-    def has_ordinal_slot(self) -> bool:
-        return self.slot is not None
-
     def render_steps(self, ordinal_index: int | None = None) -> tuple[str, ...]:
         if self.slot is None:
             return self.steps

@@ -568,3 +568,15 @@ def test_each_failure_prints_one_diagnostic(workdir, capsys, argv, code, err):
     write(workdir / "unterminated.ql", 'from MethodAccess init\nwhere init.getName() = "x\n')
     assert run([arg.format(d=workdir) for arg in argv]) == code
     assert capsys.readouterr() == ("", err.format(d=workdir))
+
+
+def test_metrics_lexes_the_ql_file_once(workdir, monkeypatch, capsys):
+    """``metrics`` reads the ``--ql`` file as a query and counts it from one lexing."""
+    ql_text = golden_text("task1.ql")
+    ql = write(workdir / "q.ql", ql_text)
+    lexed = []
+    lex_ql = qlgen.lex_ql
+    monkeypatch.setattr(qlgen, "lex_ql", lambda text: lexed.append(text) or lex_ql(text))
+    assert run(["metrics", str(GOLDEN / "task1.nsra"), "--ql", ql, "--json"]) == 0
+    assert lexed.count(ql_text) == 1
+    assert json.loads(capsys.readouterr().out)["length_ql"] == nsra.halstead_ql(ql_text).length

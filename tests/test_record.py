@@ -82,3 +82,7 @@ def test_only_classes_that_check_or_convert_define_an_init():
     written = {c for c in compiler_records if c.__init__.__qualname__ == f"{c.__qualname__}.__init__"}
     assert written == {Span, HalsteadCounts, Registry}
 
+def test_every_value_class_subclasses_record_directly():
+    """The compiler dispatches on ``type(x) is C``, which an instance of a subclass of ``C`` would slip past."""
+    indirect = [c for c in _records(Record) if c.__module__.startswith("nsra.") and c.__bases__ != (Record,)]
+    assert indirect == []

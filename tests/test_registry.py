@@ -55,7 +55,7 @@ def test_type_rule_is_object_valued(builtin):
 
 def test_argument_rule_has_ordinal_slot(builtin):
     rule = lookup_attribute("argument", builtin)
-    assert rule.has_ordinal_slot
+    assert rule.slot is not None
     assert rule.render_steps(1) == ("getArgument(1)",)
     assert rule.result_kind == "object"
 
@@ -229,7 +229,7 @@ def test_builtin_templates_appear_in_reference_outputs(builtin, golden_dir):
     for word, rule in builtin.rules.items():
         if word == "padding":
             continue
-        index = 0 if rule.has_ordinal_slot else None
+        index = 0 if rule.slot is not None else None
         assert ".".join(rule.render_steps(index)) in corpus, word
 
 
@@ -425,7 +425,7 @@ def test_templates_render_what_the_ql_reader_reads(template):
     except SourceError as err:
         assert err.span is not None and 0 <= err.span.start <= err.span.end <= len(text), err
         return
-    steps = rule.render_steps(3 if rule.has_ordinal_slot else None)
+    steps = rule.render_steps(3 if rule.slot is not None else None)
     ir = read_query_text(f'from MethodAccess m where m.{".".join(steps)} = "x" select m')
     assert ir.condition == Eq(Chain(Var("m"), steps), Lit("x"))
 
