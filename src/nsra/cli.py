@@ -155,7 +155,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _read_counted(ql_text: str) -> HalsteadCounts:
     """The ``halstead_ql`` counts of QL text, lexed once; raises as ``read_ql`` does where the text is no query."""
-    reader = QlReader(ql_text)
+    reader = QlReader(ql_text, runs=False)
     counts = reader_counts(reader)
     reader.read_query()
     return counts

@@ -149,7 +149,7 @@ def halstead_ql(ql_text: str) -> HalsteadCounts:
 
     A token is its source text, so a string keeps its quotes and is never
     spelled like an identifier; each distinct token is classified once."""
-    return reader_counts(QlReader(ql_text))
+    return reader_counts(QlReader(ql_text, runs=False))
 
 
 def reader_counts(reader: QlReader) -> HalsteadCounts:

@@ -7,7 +7,10 @@ checks compare.
 a match with no token; ``QlReader`` reads leading ``import`` lines apart from
 the query, which must be in the subset the renderer emits, one comma between
 list items.  Anything else, an integer too long for ``int`` included, is a
-``QlLexError`` at its position.  ``read_ql`` reads the import names and the
+``QlLexError`` at its position.  The reader's scan, ``lex_ql_runs``, takes
+a run of calls in ``render``'s spacing (``.getArgument(0).toString()``) as
+one token, whose steps it reads once per distinct run; ``lex_ql``'s single
+tokens serve the Halstead count, profile templates and error positions.  ``read_ql`` reads the import names and the
 query, restoring the underscores lost from string literals; ``repaired``
 restores a lowered IR alike.  ``canonical`` writes import lines and a query
 one clause per line, and ``normalize_ql`` is ``canonical`` of ``read_ql``:
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 
 from .errors import TOO_LONG_INTEGER, QlLexError, Record, Span
 from .ir import (
@@ -183,7 +187,17 @@ def _dump_bool(e: BoolExpr, out: list[str], depth: int) -> None:
 # skips it.  The token is a string literal, a decimal integer, a word, or what
 # ``lex_ql`` rejects: an unterminated comment, taken to the end of the text so
 # that the scan stays linear, or any other single character.
-_QL_TOKEN = re.compile(r'//[^\n]*|/\*.*?\*/|("[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d]\w*|/\*.*|\S)', re.DOTALL)
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_TOKEN = rf"{_STRING}|\d+|[^\W\d]\w*|/\*.*|\S"
+_QL_TOKEN = re.compile(rf"//[^\n]*|/\*.*?\*/|({_TOKEN})", re.DOTALL)
+
+# The reader's scan takes a run of calls as one token: one or more calls
+# ``.name(literal, ...)`` in ``render``'s spacing, no name a keyword.  A run
+# holds exactly the tokens ``_QL_TOKEN`` finds in it, and ``_QL_STEP.findall``
+# gives the text after each call's dot, the step a chain holds.
+_CALL = rf"(?!(?:{'|'.join(sorted(QL_KEYWORDS))})\()[^\W\d]\w*\((?:(?:{_STRING}|\d+)(?:, (?:{_STRING}|\d+))*)?\)"
+_QL_STEP = re.compile(rf"\.({_CALL})")
+_QL_READ_TOKEN = re.compile(rf"//[^\n]*|/\*.*?\*/|((?:\.{_CALL})+|{_TOKEN})", re.DOTALL)
 
 # Inside string literals, a lone space between identifier-ish capitals is a
 # lost underscore (API constants never contain spaces).
@@ -208,13 +222,18 @@ def _is_literal(tok: str) -> bool:  # a call argument: a string or an integer
 
 def _lexes(tok: str) -> bool:
     """False for what the scan takes but QL has no token for: a lone quote,
-    a stray character, an integer too long for ``int``."""
+    a stray character, an integer too long for ``int``, a run holding one."""
     if tok[0].isdecimal():
         try:
             return int(tok) >= 0  # true once ``int`` reads the digits
         except ValueError:
             return False
-    return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in QL_KEYWORDS or tok in ".,()[]|=<"
+    # A run lexes unless a name in it starts with a character that is no
+    # letter, which is never ASCII, or an integer in it is longer than the
+    # lowest digit limit ``int`` can be given.
+    if tok[0] == "." and not (tok.isascii() and len(tok) <= sys.int_info.str_digits_check_threshold):
+        return all(map(_lexes, _QL_TOKEN.findall(tok)))
+    return len(tok) > 1 if tok[0] == '"' else _is_ident(tok) or tok in QL_KEYWORDS or tok[0] in ".,()[]|=<"
 
 
 def _token_span(text: str, index: int, start: int = 0, end: int | None = None) -> Span:
@@ -241,6 +260,12 @@ def lex_ql(text: str) -> list[str]:
     raise QlLexError(f"unexpected character {char!r}", Span(start, start + 1))
 
 
+def lex_ql_runs(text: str) -> list[str]:
+    """``lex_ql`` of ``text``, but each run of calls one token; where a token does not lex, ``lex_ql`` raises."""
+    tokens = [*filter(None, _QL_READ_TOKEN.findall(text))]
+    return tokens if all(map(_lexes, set(tokens))) else lex_ql(text)
+
+
 class QlReader:
     """Infix reader for QL text: leading ``import a.b.c`` lines, then the
     query subset the renderer emits.
@@ -249,33 +274,39 @@ class QlReader:
     ``imports`` holds their dotted names in order, and ``pos`` is the index
     in ``tokens`` of the first token after them.  ``tokens`` ends with the
     empty string, a sentinel equal to no token, so the reader compares
-    ``tokens[pos]`` with no bounds check.
+    ``tokens[pos]`` with no bounds check.  A run of calls is one token, whose
+    steps ``read_value`` reads once per reader into ``run_steps``, unless
+    ``runs`` is false: then every token is single, as the Halstead count reads them.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, runs: bool = True):
         self.text = text
-        self.tokens = lex_ql(text)
+        self.tokens = lex_ql_runs(text) if runs else lex_ql(text)
         self.tokens.append("")
+        self.run_steps: dict[str, list[str]] = {}
         self.pos = 0
         self.imports: list[str] = []
         while self.tokens[self.pos] == "import":
             self.pos += 1
             name = self.expect()
-            while self.tokens[self.pos] == ".":
+            while self.tokens[self.pos][:1] == ".":
+                self.tokens[self.pos : self.pos + 1] = _QL_TOKEN.findall(self.tokens[self.pos])  # a run's tokens
                 self.pos += 1
                 name += "." + self.expect()
             self.imports.append(name)
 
     def literal(self, tok: str) -> str:
-        """A literal token as read; ``read_ql`` replaces this method."""
+        """A literal token, or a call step holding literals, as read; ``read_ql`` replaces this method."""
         return tok
 
     def error(self, message: str, index: int | None = None) -> QlLexError:
         """An error at token ``index``, by default the next; at the end of the text for the sentinel."""
-        return QlLexError(message, _token_span(self.text, self.pos if index is None else index))
+        index = self.pos if index is None else index  # where each run before it counts as its tokens
+        index += sum(len(_QL_TOKEN.findall(tok)) - 1 for tok in self.tokens[:index] if tok[:1] == ".")
+        return QlLexError(message, _token_span(self.text, index))
 
-    def shown(self, tok: str) -> str:  # as error messages quote a token: a string by its content as written
-        return tok[1:-1] if tok[:1] == '"' else tok or "end"
+    def shown(self, tok: str) -> str:  # as messages quote a token: a string by its content as written, a run as '.'
+        return tok[1:-1] if tok[:1] == '"' else "." if tok[:1] == "." else tok or "end"
 
     def expect(self, text: str | None = None) -> str:
         """Take the next token, which must be ``text``, by default any name (``_is_ident``)."""
@@ -364,7 +395,7 @@ class QlReader:
         right = self.read_value()
         if op == "<":
             return Lt(left, right)
-        return TRUE if left == right == TRUE_OPERAND else Eq(left, right)
+        return TRUE if type(left) is Lit and left == right == TRUE_OPERAND else Eq(left, right)
 
     def read_value(self) -> QlExpr:
         tok = self.tokens[self.pos]
@@ -384,8 +415,14 @@ class QlReader:
             raise self.error(message, self.pos - 1)
         toks, i = self.tokens, self.pos
         steps: list[str] = []
-        while toks[i] == ".":  # a call ``.name(args)``, read by index; ``expect`` and ``read_list`` only raise
-            name = toks[i + 1]
+        while toks[i][:1] == ".":  # a run of calls, or a call ``.name(args)`` read by index
+            if toks[i] != ".":
+                if toks[i] not in self.run_steps:
+                    self.run_steps[toks[i]] = [*map(self.literal, _QL_STEP.findall(toks[i]))]
+                steps += self.run_steps[toks[i]]
+                i += 1
+                continue
+            name = toks[i + 1]  # ``expect`` and ``read_list`` only raise
             if not _is_ident(name) or toks[i + 2] != "(":
                 self.pos = i + 1
                 self.expect()

@@ -12,7 +12,8 @@ unchanged) and ``tests/golden``:
   queries, and seeded token deletions, duplications, swaps, substitutions and
   insertions of those, each run with the built-in and the benchmark registry;
 * profiles: the built-in, benchmark and README profiles and token mutations;
-* QL texts: the golden QL, the benchmark's expected QL and token mutations.
+* QL texts: the golden QL, the benchmark's expected QL and token mutations,
+  and ``QL_RUN_CASES``, each with and without an ``import java`` line.
 
 Each side runs in a child interpreter (``python -I -B``) whose only path to
 ``nsra`` is that checkout's ``src``.  Per query it records the QL at widths 100
@@ -57,6 +58,23 @@ _SUBSTITUTES = {
     "ql": ("from", "where", "select", "and", "or", "not", "exists", "count", "import", "(", ")", ".", ",", "=", "<",
            "|", "x", "1", '"a"', "//"),
 }
+
+# Texts that put a run of calls (one token to the QL reader) where no chain
+# holds it, or that spell calls so that they are no run.
+QL_RUN_CASES = (
+    "import a.b()",
+    "import a . b .f() . c",
+    "from T x.f() select x",
+    "select x.f()",
+    "from T x where 1.f() = 1 select x",
+    'from T x where "a".f() = 1 select x',
+    "from T x where x.count() = 1 select x",
+    "from T x where x.²f() = 1 select x",
+    "from T x where x.f(1, " + "9" * 4301 + ") = 1 select x",
+    "from T x where x.f( 1 ,2 ) = 1 select x",
+    "from T x where x.f(/* c */ 1) = 1 select x",
+    'from T x where x.f("A B").g( 1).é("C D") = x.f("A B") and x.f("A B").g() = select x',
+)
 
 
 def _mutations(texts: list[str], language: str, n: int, seed: int) -> list[tuple[str, int]]:
@@ -126,6 +144,7 @@ def build_inputs() -> dict[str, list]:
 
     ql = [reference for _, reference in golden] + [q.expected_ql for q in task_sized[::4]]
     ql += [text for text, _ in _mutations(ql, "ql", 3000, seed=2)]
+    ql += [header + text for text in QL_RUN_CASES for header in ("", "import java\n")]
     return {"queries": queries, "profiles": profiles, "ql": ql, "profile_text": gen.PROFILE_TEXT}
 
 

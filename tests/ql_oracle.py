@@ -5,8 +5,9 @@ against.
 ``ORACLE_QL_TOKEN`` is the old pattern: each match is a skip prefix of
 whitespace and comments, then an optional token, so the scan ends with one
 or two empty matches.  ``oracle_lex_ql`` and ``oracle_token_span`` read
-with it; ``oracle_read_value`` reads a call chain through ``expect`` and
-``read_list``; ``oracle_wrap`` fills a line by copying it for each part;
+with it, and the reader's scan is ``oracle_lex_ql`` too, so no run of
+calls is one token; ``oracle_read_value`` reads a call chain through
+``expect`` and ``read_list``; ``oracle_wrap`` fills a line by copying it for each part;
 ``oracle_read_template`` finds a template comment by counting ``/``
 characters.  ``as_parent()`` installs them in ``qlgen`` and ``registry``
 for the length of a ``with`` block, so ``read_query_text``,
@@ -154,7 +155,9 @@ def oracle_read_template(word: str, text: str, start: int, end: int) -> Attribut
 def as_parent():
     """Inside the block, ``qlgen`` and ``registry`` read and lay out QL as before."""
     with (
-        mock.patch.multiple(qlgen, lex_ql=oracle_lex_ql, _token_span=oracle_token_span, _wrap=oracle_wrap),
+        mock.patch.multiple(
+            qlgen, lex_ql=oracle_lex_ql, lex_ql_runs=oracle_lex_ql, _token_span=oracle_token_span, _wrap=oracle_wrap
+        ),
         mock.patch.object(qlgen.QlReader, "read_value", oracle_read_value),
         mock.patch.object(registry, "_read_template", oracle_read_template),
     ):

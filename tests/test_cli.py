@@ -324,8 +324,9 @@ def test_check_reports_header_error(workdir, capsys):
 
 @pytest.mark.parametrize("header", [None, "import java"])
 def test_check_reads_the_golden_once_and_renders_only_on_a_mismatch(workdir, capsys, header):
-    """A match lexes the golden and the header, once each, and renders
-    nothing; a mismatch renders each side once, for the diff."""
+    """A match scans the golden and the header, once each and with the
+    reader's scan alone, and renders nothing; a mismatch renders each side
+    once, for the diff."""
     calls = []
 
     def counted(name, fn):
@@ -342,14 +343,14 @@ def test_check_reads_the_golden_once_and_renders_only_on_a_mismatch(workdir, cap
     extra = ["--header", header] if header else []
     with contextlib.ExitStack() as stack:
         for module in (qlgen, cli):
-            for name in ("lex_ql", "render", "normalize_ql"):
+            for name in ("lex_ql", "lex_ql_runs", "render", "normalize_ql"):
                 if hasattr(module, name):
                     stack.enter_context(mock.patch.object(module, name, counted(name, getattr(module, name))))
         assert run(["check", src, "--golden", golden, *extra]) == 0
-        assert calls == [("lex_ql", reference)] + [("lex_ql", header)] * bool(header)
+        assert calls == [("lex_ql_runs", reference)] + [("lex_ql_runs", header)] * bool(header)
         calls.clear()
         assert run(["check", src, "--golden", other, *extra]) == 1
-    assert [name for name, *_ in calls] == ["lex_ql"] * (1 + bool(header)) + ["render", "render"]
+    assert [name for name, *_ in calls] == ["lex_ql_runs"] * (1 + bool(header)) + ["render", "render"]
     capsys.readouterr()
 
 
@@ -575,8 +576,9 @@ def test_metrics_lexes_the_ql_file_once(workdir, monkeypatch, capsys):
     ql_text = golden_text("task1.ql")
     ql = write(workdir / "q.ql", ql_text)
     lexed = []
-    lex_ql = qlgen.lex_ql
-    monkeypatch.setattr(qlgen, "lex_ql", lambda text: lexed.append(text) or lex_ql(text))
+    for name in ("lex_ql", "lex_ql_runs"):  # either scan counts
+        lex = getattr(qlgen, name)
+        monkeypatch.setattr(qlgen, name, lambda text, lex=lex: lexed.append(text) or lex(text))
     assert run(["metrics", str(GOLDEN / "task1.nsra"), "--ql", ql, "--json"]) == 0
     assert lexed.count(ql_text) == 1
     assert json.loads(capsys.readouterr().out)["length_ql"] == nsra.halstead_ql(ql_text).length

@@ -2,7 +2,10 @@
 
 Queries grow along five axes (sentence count, list length, ``it is false
 that`` depth, ``and``-chain length and alternating negated and plain
-disjuncts) at sizes n, 2n, 4n and 8n.  Each stage's Python function calls
+disjuncts) at sizes n, 2n, 4n and 8n, and so does QL text along two, for
+``normalize_ql`` alone: comparisons over distinct runs of calls, and the same
+ended by an error, which the reader locates by counting each run before it as
+its tokens.  Each stage's Python function calls
 (``call`` and ``c_call`` events of ``sys.setprofile``) are counted, which is
 deterministic and so does not depend on the host: at size m they may be at
 most ``SLACK * m / n`` times the count at n, plus ``CALLS_SLACK``.  A call
@@ -20,6 +23,7 @@ import time
 import pytest
 
 from nsra.lexer import normalize, tokenize
+from nsra.errors import QlLexError
 from nsra.lowering import lower
 from nsra.metrics import halstead_nsra, halstead_ql
 from nsra.parser import parse_query
@@ -50,6 +54,31 @@ AXES = {
     + " or ".join(("it is false that " if i % 2 else "") + _attribute(i) for i in range(k))
     + ".",
 }
+
+QL_RUNS = "from T x where {} select x"
+
+
+def _runs(k: int) -> str:  # k comparisons, each over its own run of calls
+    return " and ".join(f'x.f{i}({i}, "A {i}").g() = {i}' for i in range(k))
+
+
+QL_AXES = {
+    "ql_runs": lambda k: QL_RUNS.format(_runs(k)),
+    "ql_runs_error": lambda k: QL_RUNS.format(_runs(k)) + " =",  # the last token is an error
+}
+
+
+def _normalize_ql(text: str) -> str:  # ``normalize_ql``'s text, or its error's message
+    try:
+        return normalize_ql(text)
+    except QlLexError as err:
+        return err.message
+
+
+def _axis_stages(axis: str, size: int) -> dict:
+    if axis in QL_AXES:
+        return {"normalize_ql": (_normalize_ql, QL_AXES[axis](size))}
+    return _stages(AXES[axis](size))
 
 
 def _stages(text: str) -> dict:
@@ -97,11 +126,11 @@ def _best_time(stages: dict) -> float:
     return best
 
 
-@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("axis", [*AXES, *QL_AXES])
 def test_each_stage_makes_calls_linear_in_the_input(axis):
     counts: dict[str, list[int]] = {}
     for size in SIZES:
-        for stage, (fn, *args) in _stages(AXES[axis](size)).items():
+        for stage, (fn, *args) in _axis_stages(axis, size).items():
             fn(*args)  # once first, so that a cache filled on first use does not count
             counts.setdefault(stage, []).append(_calls(fn, *args))
     superlinear = {
@@ -112,9 +141,9 @@ def test_each_stage_makes_calls_linear_in_the_input(axis):
     assert superlinear == {}
 
 
-@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("axis", [*AXES, *QL_AXES])
 def test_the_pipeline_time_grows_at_most_loosely_linearly(axis):
-    small, large = _stages(AXES[axis](N)), _stages(AXES[axis](8 * N))
+    small, large = _axis_stages(axis, N), _axis_stages(axis, 8 * N)
     enabled = gc.isenabled()
     gc.disable()
     try:

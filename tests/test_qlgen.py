@@ -419,10 +419,25 @@ def _generated_ql(seed: int, size: int, mutate: bool) -> str:
 )
 @example("/** doc */ import java // x\nfrom T x where x.f(/* c */ 1) = 1 select x")
 @example("from T x where x.f() = 1 select x /* never closed")
+# A run of calls where no chain holds it: after an import name, in a from or
+# select list, after a literal; and calls that are no run: a keyword or a
+# non-letter call name, an integer too long for ``int``, other spacing.
+@example("import a.b()")
+@example("import a . b .f() . c")
+@example("from T x.f() select x")
+@example("select x.f()")
+@example("from T x where 1.f() = 1 select x")
+@example('from T x where "a".f() = 1 select x')
+@example("from T x where x.count() = 1 select x")
+@example("from T x where x.²f() = 1 select x")
+@example("from T x where x.f(1, " + "9" * 4301 + ") = 1 select x")
+@example("from T x where x.f( 1 ,2 ) = 1 select x")
+@example('from T x where x.f("A B").g( 1).é("C D") = x.f("A B") and x.f("A B").g() = select x')
 @settings(max_examples=300, deadline=None)
 def test_ql_read_path_matches_the_skip_prefix_oracle(text):
-    """The scan without a skip prefix and the indexed chain reader give the
-    old path's tokens, IR, normalized text and counts, or its error."""
+    """The scan without a skip prefix, its runs of calls and the indexed chain
+    reader give the old path's tokens, IR, normalized text and counts, or its
+    error."""
     reads = (read_query_text, normalize_ql, halstead_ql)
     new = [_outcome(lex_ql, text), *(_outcome(read, text) for read in reads)]
     with as_parent():
