@@ -3,15 +3,16 @@ checks compare.
 
 ``render`` turns a QueryIR into query text with minimal parenthesization
 (plus parentheses around every negation operand and existential body).
-``lex_ql`` reads QL text in one scan, a token its source text and a comment
-a match with no token; ``QlReader`` reads leading ``import`` lines apart from
+``lex_ql`` reads QL text in one scan, a token its source text and a comment a
+match with no token; ``QlReader`` reads leading ``import`` lines apart from
 the query, which must be in the subset the renderer emits, one comma between
-list items.  Anything else, an integer too long for ``int`` included, is a
-``QlLexError`` at its position.  The reader's scan, ``lex_ql_runs``, takes
-a run of calls in ``render``'s spacing (``.getArgument(0).toString()``) as
-one token, whose steps it reads once per distinct run; ``lex_ql``'s single
-tokens serve the Halstead count, profile templates and error positions.  ``read_ql`` reads the import names and the
-query, restoring the underscores lost from string literals; ``repaired``
+list items, and groups nested at most ``MAX_QL_NESTING`` deep.  Anything else,
+an integer too long for ``int`` included, is a ``QlLexError`` at its position.
+The reader's scan, ``lex_ql_runs``, takes a run of calls in ``render``'s
+spacing (``.getArgument(0).toString()``) as one token, whose steps it reads
+once per distinct run; ``lex_ql``'s single tokens serve the Halstead count,
+profile templates and error positions.  ``read_ql`` reads the import names and
+the query, restoring the underscores lost from string literals; ``repaired``
 restores a lowered IR alike.  ``canonical`` writes import lines and a query
 one clause per line, and ``normalize_ql`` is ``canonical`` of ``read_ql``:
 texts differing only in whitespace, comments or redundant grouping normalize
@@ -50,6 +51,12 @@ from .ir import (
 
 # The words the reader reads as keywords, so no name it reads is one of them.
 QL_KEYWORDS = frozenset({"from", "where", "select", "and", "or", "not", "exists", "count"})
+
+# How deeply the reader's groups, ``(``, ``not (``, ``exists (`` and ``count (``,
+# may nest, together: the reader recurses up to three times per level, and
+# this depth leaves room under Python's default recursion limit.  It is above
+# the deepest QL ``render`` gives for English within ``parser.MAX_NESTING``.
+MAX_QL_NESTING = 200
 
 _INDENT = "  "  # continuation lines of a wrapped clause
 
@@ -285,6 +292,7 @@ class QlReader:
         self.tokens.append("")
         self.run_steps: dict[str, list[str]] = {}
         self.pos = 0
+        self.depth = 0  # groups open at ``pos``
         self.imports: list[str] = []
         while self.tokens[self.pos] == "import":
             self.pos += 1
@@ -315,6 +323,11 @@ class QlReader:
             raise self.error(f"expected {text or 'ident'}, found {self.shown(tok)!r}")
         self.pos += 1
         return tok
+
+    def descend(self) -> None:  # a group opens at the token before ``pos``; its reader ends it with ``depth -= 1``
+        if self.depth == MAX_QL_NESTING:
+            raise self.error(f"groups nested more than {MAX_QL_NESTING} deep", self.pos - 1)
+        self.depth += 1
 
     def read_list(self, is_item, where: str, close: str) -> list[str]:
         """Items with one comma between each two, up to ``close``, not taken."""
@@ -372,6 +385,7 @@ class QlReader:
         if tok not in ("not", "exists", "("):
             return self.read_comparison()
         self.pos += 1
+        self.descend()
         if tok == "(":
             inner = self.read_group()
         elif tok == "not":
@@ -384,6 +398,7 @@ class QlReader:
             self.expect("|")
             inner = Exists(decl, self.read_group())
         self.expect(")")
+        self.depth -= 1
         return inner
 
     def read_comparison(self) -> BoolExpr:
@@ -401,9 +416,11 @@ class QlReader:
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok == "count":
+            self.descend()
             self.expect("(")
             inner = self.read_value()
             self.expect(")")
+            self.depth -= 1
             return Count(inner)
         if tok[:1] == '"':
             body = self.literal(tok)[1:-1]
@@ -413,33 +430,19 @@ class QlReader:
         if not _is_ident(tok):
             message = f"unexpected {self.shown(tok)!r} in value position" if tok else "expected a value"
             raise self.error(message, self.pos - 1)
-        toks, i = self.tokens, self.pos
         steps: list[str] = []
-        while toks[i][:1] == ".":  # a run of calls, or a call ``.name(args)`` read by index
-            if toks[i] != ".":
-                if toks[i] not in self.run_steps:
-                    self.run_steps[toks[i]] = [*map(self.literal, _QL_STEP.findall(toks[i]))]
-                steps += self.run_steps[toks[i]]
-                i += 1
+        while (run := self.tokens[self.pos])[:1] == ".":  # a run of calls, or a call ``.name(args)`` as single tokens
+            self.pos += 1
+            if run != ".":
+                if run not in self.run_steps:
+                    self.run_steps[run] = [*map(self.literal, _QL_STEP.findall(run))]
+                steps += self.run_steps[run]
                 continue
-            name = toks[i + 1]  # ``expect`` and ``read_list`` only raise
-            if not _is_ident(name) or toks[i + 2] != "(":
-                self.pos = i + 1
-                self.expect()
-                self.expect("(")
-            j = i + 3  # then the index of the call's ")"
-            if toks[j] == ")":
-                steps.append(name + "()")
-            else:
-                while _is_literal(toks[j]) and toks[j + 1] == ",":
-                    j += 2
-                if not (_is_literal(toks[j]) and toks[j + 1] == ")"):
-                    self.pos = i + 3
-                    self.read_list(_is_literal, "call arguments", ")")
-                j += 1
-                steps.append(f"{name}({', '.join(map(self.literal, toks[i + 3 : j : 2]))})")
-            i = j + 1
-        self.pos = i
+            name = self.expect()
+            self.expect("(")
+            args = self.read_list(_is_literal, "call arguments", ")") if self.tokens[self.pos] != ")" else []
+            self.pos += 1
+            steps.append(f"{name}({', '.join(map(self.literal, args))})")
         return Chain(Var(tok), tuple(steps)) if steps else Var(tok)
 
 

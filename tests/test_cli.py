@@ -14,7 +14,7 @@ import nsra
 from nsra import cli, qlgen
 from nsra.cli import run
 from nsra.parser import MAX_NESTING
-from nsra.qlgen import normalize_ql
+from nsra.qlgen import MAX_QL_NESTING, normalize_ql
 from conftest import GOLDEN, QL_PREAMBLES, golden_text
 
 
@@ -533,6 +533,33 @@ def test_nesting_too_deep_is_a_diagnostic(workdir, capsys):
     assert run(["compile", query]) == 1
     column = len("It is false that ") * MAX_NESTING + 1
     assert capsys.readouterr().err == f"{query}:2:{column}: error: phrases nested more than {MAX_NESTING} deep\n"
+
+
+def _nested_golden(depth: int) -> str:
+    return "from MethodAccess init\nwhere " + "not (" * depth + 'init.getName() = "a"' + ")" * depth + "\nselect init\n"
+
+
+@pytest.mark.parametrize("command", ["check", "metrics"])
+def test_ql_nested_at_the_limit_reads(workdir, capsys, command):
+    query, ql = str(GOLDEN / "example_invoke.nsra"), write(workdir / "deep.ql", _nested_golden(MAX_QL_NESTING))
+    argv = [command, query, "--golden" if command == "check" else "--ql", ql]
+    assert run(argv) == (1 if command == "check" else 0)  # the golden reads, and does not match
+    err = capsys.readouterr().err
+    assert err.startswith(f"{query}: does not match {ql}\n--- {ql}\n") if command == "check" else err == ""
+    proc = fresh_python("-m", "nsra.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (1 if command == "check" else 0, err)
+
+
+@pytest.mark.parametrize("command", ["check", "metrics"])
+def test_ql_nested_past_the_limit_is_a_diagnostic(workdir, capsys, command):
+    query, ql = str(GOLDEN / "example_invoke.nsra"), write(workdir / "deep.ql", _nested_golden(MAX_QL_NESTING + 1))
+    argv = [command, query, "--golden" if command == "check" else "--ql", ql]
+    column = len("where ") + len("not (") * MAX_QL_NESTING + 1
+    diagnostic = f"{ql}:2:{column}: error: groups nested more than {MAX_QL_NESTING} deep\n"
+    assert run(argv) == 1
+    assert capsys.readouterr().err == diagnostic
+    proc = fresh_python("-m", "nsra.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", diagnostic)
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 Queries grow along five axes (sentence count, list length, ``it is false
 that`` depth, ``and``-chain length and alternating negated and plain
-disjuncts) at sizes n, 2n, 4n and 8n, and so does QL text along two, for
-``normalize_ql`` alone: comparisons over distinct runs of calls, and the same
+disjuncts) at sizes n, 2n, 4n and 8n, and so does QL text along four, for
+``normalize_ql`` alone: comparisons over distinct runs of calls, the same
 ended by an error, which the reader locates by counting each run before it as
-its tokens.  Each stage's Python function calls
+its tokens, comparisons over calls spaced unlike ``render``, which the reader
+reads as single tokens, and nested groups.  Each stage's Python function calls
 (``call`` and ``c_call`` events of ``sys.setprofile``) are counted, which is
 deterministic and so does not depend on the host: at size m they may be at
 most ``SLACK * m / n`` times the count at n, plus ``CALLS_SLACK``.  A call
@@ -65,6 +66,8 @@ def _runs(k: int) -> str:  # k comparisons, each over its own run of calls
 QL_AXES = {
     "ql_runs": lambda k: QL_RUNS.format(_runs(k)),
     "ql_runs_error": lambda k: QL_RUNS.format(_runs(k)) + " =",  # the last token is an error
+    "ql_calls": lambda k: QL_RUNS.format(" and ".join(f'x . f{i} ( {i} , "A {i}" ) . g ( ) = {i}' for i in range(k))),
+    "ql_depth": lambda k: QL_RUNS.format("not (" * k + "x.f() = 1" + ")" * k),  # 96 deep at 8n, under MAX_QL_NESTING
 }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from nsra.ir import (
 )
 from nsra.metrics import halstead_ql
 from nsra.qlgen import (
+    MAX_QL_NESTING,
     QL_KEYWORDS,
+    QlReader,
     _QL_TOKEN,
     _wrap,
     lex_ql,
@@ -350,6 +353,49 @@ def test_over_long_integer_is_an_error_at_it():
         assert (info.value.span.start, info.value.span.end) == (19, 5019)
 
 
+def _nested_ql(opener: str, depth: int, counts: int = 0) -> str:
+    """A query whose condition nests ``depth`` levels opened by ``opener`` around a comparison of
+    ``counts`` nested ``count (`` with 1."""
+    inner = "count (" * counts + "x" + ")" * counts + " = 1"
+    return "from T x where " + opener * depth + inner + ")" * depth + " select x"
+
+
+QL_NESTINGS = {  # a query nesting n groups, and the text of the token that opens each level
+    "(": (lambda n: _nested_ql("(", n), r"\("),
+    "not (": (lambda n: _nested_ql("not (", n), "not"),
+    "exists (": (lambda n: _nested_ql("exists (T y | ", n), "exists"),
+    "count (": (lambda n: _nested_ql("", 0, n), "count"),
+    "not ( around count (": (lambda n: _nested_ql("not (", n // 2, n - n // 2), "not|count"),
+}
+
+
+def _read_single_tokens(text: str) -> QueryIR:  # the read ``nsra metrics`` makes of its ``--ql`` file
+    return QlReader(text, runs=False).read_query()
+
+
+@pytest.mark.parametrize("nesting", QL_NESTINGS)
+def test_ql_nesting_at_the_limit_reads(nesting):
+    text = QL_NESTINGS[nesting][0](MAX_QL_NESTING)
+    assert read_query_text(text) == _read_single_tokens(text)
+    assert normalize_ql(normalize_ql(text)) == normalize_ql(text)
+
+
+@pytest.mark.parametrize("nesting", QL_NESTINGS)
+def test_ql_nesting_past_the_limit_is_an_error_at_its_opening_token(nesting):
+    nested, opener = QL_NESTINGS[nesting]
+    text = nested(MAX_QL_NESTING + 1)
+    at = [m.start() for m in re.finditer(opener, text)][MAX_QL_NESTING]
+    for read in (normalize_ql, read_query_text, _read_single_tokens):
+        with pytest.raises(QlLexError) as info:
+            read(text)
+        assert (info.value.message, info.value.span.start) == (f"groups nested more than {MAX_QL_NESTING} deep", at)
+
+
+def test_ql_nesting_counts_only_open_groups():
+    siblings = " and ".join(["not (count (x) = 1)", "exists (T y | (y.f() = 1))"] * MAX_QL_NESTING)
+    assert len(read_query_text(f"from T x where {siblings} select x").condition.items) == 2 * MAX_QL_NESTING
+
+
 GOLDEN_QUERIES = [lex_ql(golden_text(f"{name}.ql")) for name in ("example_invoke", "task1", "task2", "task3")]
 QL_ALPHABET = (
     "from", "where", "select", "and", "or", "not", "exists", "count", "import", "x", "T", "getName",
@@ -435,10 +481,11 @@ def _generated_ql(seed: int, size: int, mutate: bool) -> str:
 @example('from T x where x.f("A B").g( 1).é("C D") = x.f("A B") and x.f("A B").g() = select x')
 @settings(max_examples=300, deadline=None)
 def test_ql_read_path_matches_the_skip_prefix_oracle(text):
-    """The scan without a skip prefix, its runs of calls and the indexed chain
-    reader give the old path's tokens, IR, normalized text and counts, or its
+    """The scan without a skip prefix, its runs of calls and the reader of
+    calls as single tokens, which ``nsra metrics`` reads its ``--ql`` file
+    with, give the old path's tokens, IR, normalized text and counts, or its
     error."""
-    reads = (read_query_text, normalize_ql, halstead_ql)
+    reads = (read_query_text, _read_single_tokens, normalize_ql, halstead_ql)
     new = [_outcome(lex_ql, text), *(_outcome(read, text) for read in reads)]
     with as_parent():
         old = [_outcome(oracle_lex_ql, text), *(_outcome(read, text) for read in reads)]
